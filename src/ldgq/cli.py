@@ -448,7 +448,6 @@ def cmd_minimize(cfg: RunConfig, out_dir: Path, seed: Optional[int], slack: Opti
         dt_init=sblock.dt,
         tol_residual=sblock.tol,
         max_iters=sblock.max_iters,
-        audit_slack=use_slack,
     )
 
     bvals = boundary_values(cfg.grid, cfg.boundary)
@@ -533,8 +532,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", default=None, help="output directory (default $LDGQ_OUT or .)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface compatibility; execution is vectorized")
     parser.add_argument("--slack", type=float, default=None, help="override the audit slack")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -564,8 +561,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     out_dir = Path(args.out or os.environ.get("LDGQ_OUT") or ".")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         if args.command == "phase":
             return cmd_phase(_load_config(args.config), out_dir)
         if args.command == "triangles":

@@ -132,7 +132,6 @@ class SolverConfig:
     dt_init: Optional[float] = None
     tol_residual: float = 1e-8
     max_iters: int = 200_000
-    audit_slack: float = 1e-3
 
     def __post_init__(self):
         if not self.elastic_l > 0.0:
@@ -361,28 +360,31 @@ def minimize_uniaxial_fixed_director(
     return values[..., 0].copy(), report
 
 
-def harmonic_interior(field: QField, max_sweeps: int = 2000, tol: float = 1e-12) -> QField:
-    """Fill the interior with a discrete-harmonic extension of the boundary data.
+def _dirichlet_eigh(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the 1-D Dirichlet second-difference matrix on m interior nodes."""
+    return np.linalg.eigh((np.eye(m, k=-1) - 2.0 * np.eye(m) + np.eye(m, k=1)) / h**2)
 
-    Jacobi sweeps of the componentwise Laplace equation; deterministic and
-    cheap, intended for solver initialization.
+
+def harmonic_interior(field: QField) -> QField:
+    """Fill the interior with the discrete-harmonic extension of the boundary data.
+
+    Solves the componentwise 7-point Laplace equation on the interior exactly
+    (to roundoff) by fast diagonalization (Lynch, Rice & Thomas, Numer. Math.
+    6, 1964): the boundary values move to the right-hand side, which is
+    transformed into the tensor-product eigenbasis of the three 1-D Dirichlet
+    second-difference matrices (one per axis, each with its own spacing),
+    divided by the summed eigenvalues and transformed back. Boundary nodes
+    are returned bit-identical.
     """
     grid = field.grid
     values = field.values.copy()
-    interior = ~field.boundary_mask
-    wx, wy, wz = 1.0 / grid.hx**2, 1.0 / grid.hy**2, 1.0 / grid.hz**2
-    denom = 2.0 * (wx + wy + wz)
-    scale = max(1.0, float(np.abs(values).max()))
-    for _ in range(max_sweeps):
-        avg = np.zeros_like(values)
-        avg[1:-1, :, :] += wx * (values[2:, :, :] + values[:-2, :, :])
-        avg[:, 1:-1, :] += wy * (values[:, 2:, :] + values[:, :-2, :])
-        avg[:, :, 1:-1] += wz * (values[:, :, 2:] + values[:, :, :-2])
-        avg /= denom
-        delta = float(np.abs(np.where(interior[..., None], avg - values, 0.0)).max())
-        values[interior] = avg[interior]
-        if delta <= tol * scale:
-            break
+    values[1:-1, 1:-1, 1:-1] = 0.0
+    rhs = -_laplacian(values, grid)[1:-1, 1:-1, 1:-1]
+    (lx, vx), (ly, vy), (lz, vz) = (
+        _dirichlet_eigh(n - 2, h) for n, h in zip(grid.shape, (grid.hx, grid.hy, grid.hz)))
+    hat = np.einsum("ai,bj,ck,abcn->ijkn", vx, vy, vz, rhs, optimize=True)
+    hat /= (lx[:, None, None] + ly[:, None] + lz)[..., None]
+    values[1:-1, 1:-1, 1:-1] = np.einsum("ia,jb,kc,abcn->ijkn", vx, vy, vz, hat, optimize=True)
     return field.with_values(values)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import Z, mbba
 from ldgq import (
@@ -286,7 +287,49 @@ def test_harmonic_interior_linear_data_reproduced():
     target = np.broadcast_to(target, grid.shape + (5,)).copy()
     field = QField.from_boundary(grid, target)
     filled = harmonic_interior(field)
-    assert np.abs(filled.values - target).max() < 1e-9
+    assert np.abs(filled.values - target).max() < 1e-12
+
+
+def dense_harmonic_interior(field):
+    """Reference fill: assemble the 7-point Laplace system node by node and solve it densely."""
+    grid = field.grid
+    spacings = (grid.hx, grid.hy, grid.hz)
+    nodes = [(i, j, k) for i in range(1, grid.nx - 1) for j in range(1, grid.ny - 1)
+             for k in range(1, grid.nz - 1)]
+    index = {node: row for row, node in enumerate(nodes)}
+    mat = np.zeros((len(nodes), len(nodes)))
+    rhs = np.zeros((len(nodes), 5))
+    for row, node in enumerate(nodes):
+        for axis, h in enumerate(spacings):
+            for step in (-1, 1):
+                nbr = list(node)
+                nbr[axis] += step
+                nbr = tuple(nbr)
+                mat[row, row] -= 1.0 / h**2
+                if nbr in index:
+                    mat[row, index[nbr]] += 1.0 / h**2
+                else:
+                    rhs[row] -= field.values[nbr] / h**2
+    values = field.values.copy()
+    values[tuple(np.array(nodes).T)] = np.linalg.solve(mat, rhs)
+    return values
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(3, 7)] * 3),
+    spacings=st.tuples(*[st.floats(0.25, 4.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_harmonic_interior_matches_dense_solve(shape, spacings, seed):
+    grid = Grid3(*shape, *spacings)
+    bvals = np.random.default_rng(seed).standard_normal(grid.shape + (5,))
+    field = QField.from_boundary(grid, bvals)
+    filled = harmonic_interior(field)
+    expected = dense_harmonic_interior(field)
+    assert np.abs(filled.values - expected).max() <= 1e-12 * np.abs(field.values).max()
+    mask = field.boundary_mask
+    assert filled.values[mask].tobytes() == field.values[mask].tobytes()
 
 
 def test_field_file_roundtrip_and_rejections(tmp_path):
