@@ -1,10 +1,10 @@
 """Bulk free-energy densities and their closed-form phase analysis.
 
-Three bulk variants share one interface: the standard quartic density, a
-general even-degree polynomial in the invariants tr Q^2 and tr Q^3, and the
-quartic density augmented with a Ginzburg-Landau style penalty that activates
-once |Q| leaves the physically admissible ball. Densities and gradients are
-vectorized over leading array axes so a whole lattice evaluates in one call.
+Three bulk variants share one kernel: an even-degree polynomial in the
+invariants tr Q^2 and tr Q^3, the quartic density as its degree-4 case, and
+the quartic plus a Ginzburg-Landau style penalty that activates once |Q|
+leaves the physically admissible ball. Densities and gradients are vectorized
+over leading array axes so a whole lattice evaluates in one call.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import RegimeError
-from .qtensor import QTensor, matrices_to_coeffs, coeffs_to_matrices, trace_invariants
+from .qtensor import QTensor, square_coeffs, trace_invariants
 
 __all__ = [
     "Material",
@@ -66,25 +66,42 @@ def a_of_temperature(m: Material, t: float) -> float:
 
 
 class BulkFunctional:
-    """Common interface of the bulk density variants."""
+    """Density a2 tr Q^2 + sum of co (tr Q^2)^m (tr Q^3)^p over the ``terms`` (m, p, co).
+
+    Subclasses supply ``a2`` and ``terms``; ``GLPenalized`` wraps its quartic instead.
+    """
 
     def density(self, coeffs) -> np.ndarray:
         """Bulk energy density for coefficient arrays of shape (..., 5)."""
-        raise NotImplementedError
+        tr2, tr3 = trace_invariants(coeffs)
+        out = self.a2 * tr2
+        for m, p, co in self.terms:
+            out = out + co * tr2**m * tr3**p
+        return out
 
     def gradient(self, coeffs) -> np.ndarray:
         """Traceless-projected derivative of the density, shape (..., 5).
 
-        Exact (to roundoff) gradient of ``density`` with respect to the basis
-        coefficients; the trace constraint never enters because the basis
-        spans only traceless matrices.
+        Exact (to roundoff) gradient of ``density`` in the basis coefficients,
+        from d tr Q^2 = 2 c and d tr Q^3 = 3 square_coeffs(c); the trace
+        constraint never enters because the basis spans only traceless matrices.
         """
-        raise NotImplementedError
+        c = np.asarray(coeffs, dtype=float)
+        sq = square_coeffs(c)
+        tr2 = np.einsum("...c,...c->...", c, c)
+        tr3 = np.einsum("...c,...c->...", c, sq)
+        out = 2.0 * self.a2 * c
+        for m, p, co in self.terms:
+            if m:
+                out = out + (2.0 * m * co) * (tr2 ** (m - 1) * tr3**p)[..., None] * c
+            if p:
+                out = out + (3.0 * p * co) * (tr2**m * tr3 ** (p - 1))[..., None] * sq
+        return out
 
 
 @dataclass(frozen=True)
 class Quartic(BulkFunctional):
-    """Quartic density (a/2) tr Q^2 - (b/3) tr Q^3 + (c/4) (tr Q^2)^2."""
+    """Quartic density (a/2) tr Q^2 - (b/3) tr Q^3 + (c/4) (tr Q^2)^2: the degree-4 law."""
 
     material: Material
     temperature: float
@@ -93,18 +110,13 @@ class Quartic(BulkFunctional):
     def a(self) -> float:
         return a_of_temperature(self.material, self.temperature)
 
-    def density(self, coeffs):
-        tr2, tr3 = trace_invariants(coeffs)
-        m = self.material
-        return 0.5 * self.a * tr2 - (m.b / 3.0) * tr3 + 0.25 * m.c * tr2 * tr2
+    @property
+    def a2(self) -> float:
+        return 0.5 * self.a
 
-    def gradient(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
-        tr2 = np.einsum("...c,...c->...", c, c)
-        mats = coeffs_to_matrices(c)
-        sq = matrices_to_coeffs(np.einsum("...ij,...jk->...ik", mats, mats))
-        m = self.material
-        return (self.a + m.c * tr2)[..., None] * c - m.b * sq
+    @property
+    def terms(self) -> tuple[tuple[int, int, float], ...]:
+        return ((0, 1, -self.material.b / 3.0), (2, 0, self.material.c / 4.0))
 
 
 @dataclass(frozen=True)
@@ -152,26 +164,6 @@ class Polynomial(BulkFunctional):
             )
         object.__setattr__(self, "degree", n)
 
-    def density(self, coeffs):
-        tr2, tr3 = trace_invariants(coeffs)
-        out = self.a2 * tr2
-        for m, p, co in self.terms:
-            out = out + co * tr2**m * tr3**p
-        return out
-
-    def gradient(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
-        tr2, tr3 = trace_invariants(c)
-        mats = coeffs_to_matrices(c)
-        sq = matrices_to_coeffs(np.einsum("...ij,...jk->...ik", mats, mats))
-        out = 2.0 * self.a2 * c
-        for m, p, co in self.terms:
-            if m:
-                out = out + (2.0 * m * co) * (tr2 ** (m - 1) * tr3**p)[..., None] * c
-            if p:
-                out = out + (3.0 * p * co) * (tr2**m * tr3 ** (p - 1))[..., None] * sq
-        return out
-
 
 @dataclass(frozen=True)
 class GLPenalized(BulkFunctional):
@@ -194,9 +186,9 @@ class GLPenalized(BulkFunctional):
         return Quartic(self.material, self.temperature)
 
     def density(self, coeffs):
-        tr2, _ = trace_invariants(coeffs)
-        excess = np.maximum(tr2 - 1.0 / 6.0, 0.0)
-        return self.quartic.density(coeffs) + excess * excess / self.eps**2
+        c = np.asarray(coeffs, dtype=float)
+        excess = np.maximum(np.einsum("...c,...c->...", c, c) - 1.0 / 6.0, 0.0)
+        return self.quartic.density(c) + excess * excess / self.eps**2
 
     def gradient(self, coeffs):
         c = np.asarray(coeffs, dtype=float)

@@ -363,22 +363,17 @@ def _temperatures(cfg: RunConfig) -> list[float]:
     raise ConfigError("this command needs a [temperature] block")
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """JSON encoding of the dataclasses and numpy values the reports hold."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(path: Path, obj) -> str:
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(obj, default=_json_default, sort_keys=True, indent=2) + "\n"
     path.write_text(text)
     return text
 

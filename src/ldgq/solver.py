@@ -427,19 +427,18 @@ def read_field(path) -> QField:
         grid = Grid3(nx, ny, nz, hx, hy, hz)
     except ValueError as exc:
         raise FieldFormatError(f"{path}: line 1: {exc}") from None
-    body = [ln for ln in lines[1:] if ln.strip()]
+    del lines[0]  # node lines only from here on, numbered from 2
     expected = nx * ny * nz
-    if len(body) != expected:
-        raise FieldFormatError(
-            f"{path}: expected {expected} node lines, found {len(body)}"
-        )
+    found = sum(1 for ln in lines if ln.strip())
+    if found != expected:
+        raise FieldFormatError(f"{path}: expected {expected} node lines, found {found}")
+    # blank lines are skipped but counted, so diagnostics name the file's own line
+    nodes = ((n, ln.split()) for n, ln in enumerate(lines, start=2) if ln.strip())
     values = np.empty(grid.shape + (5,))
-    pos = 0
     for i in range(nx):
         for j in range(ny):
             for k in range(nz):
-                lineno = pos + 2
-                toks = body[pos].split()
+                lineno, toks = next(nodes)
                 if len(toks) != 8:
                     raise FieldFormatError(f"{path}: line {lineno}: expected 8 fields")
                 try:
@@ -455,5 +454,4 @@ def read_field(path) -> QField:
                 if not all(math.isfinite(v) for v in q):
                     raise FieldFormatError(f"{path}: line {lineno}: non-finite value")
                 values[i, j, k] = q
-                pos += 1
     return QField(grid, values)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import X, Z, mbba, mbba_quartic_as_polynomial
 from ldgq import (
@@ -21,6 +22,7 @@ from ldgq import (
     stationary_scalars,
     uniaxial_coeffs,
 )
+from ldgq.qtensor import BASIS, coeffs_to_matrices, square_coeffs, trace_invariants
 
 
 def grad_scale(fun, q):
@@ -131,6 +133,121 @@ def test_bulk_gradient_matches_finite_differences():
                 fd = (fun.density(cp) - fun.density(cm)) / (2 * h)
                 worst = max(worst, abs(grad[k] - fd) / max(abs(fd), 1e-8))
         assert worst < 1e-6, (type(fun).__name__, worst)
+
+
+SEXTIC = Polynomial(a2=-0.3, terms=((0, 1, -1.2), (2, 0, 0.8), (3, 0, 0.05), (0, 2, 0.01)))
+SHAPES = st.one_of(
+    st.just(()), st.tuples(st.integers(1, 40)), st.tuples(*[st.integers(1, 4)] * 3)
+)
+
+
+def random_coeffs_shaped(seed, shape, radius):
+    """Coefficients of the given leading shape with node norms spread over [0, radius]."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(shape + (5,))
+    norms = np.sqrt((v * v).sum(-1, keepdims=True))
+    return v * (radius * rng.random(shape + (1,)) / norms)
+
+
+def matrix_kernels(a2, terms, coeffs):
+    """Density and gradient of a2 trQ2 + sum co trQ2^m trQ3^p on plain 3x3 matrices."""
+    q = coeffs_to_matrices(coeffs)
+    q2 = q @ q
+    tr2 = np.trace(q2, axis1=-2, axis2=-1)
+    tr3 = np.einsum("...ij,...ji->...", q2, q)
+    dens = a2 * tr2
+    dfdq = 2.0 * a2 * q
+    for m, p, co in terms:
+        dens = dens + co * tr2**m * tr3**p
+        if m:
+            dfdq = dfdq + (2.0 * m * co * tr2 ** (m - 1) * tr3**p)[..., None, None] * q
+        if p:
+            dfdq = dfdq + (3.0 * p * co * tr2**m * tr3 ** (p - 1))[..., None, None] * q2
+    # the basis is traceless, so this projection drops the trace part of Q^2
+    return dens, np.einsum("...ij,cij->...c", dfdq, BASIS)
+
+
+def kernel_scales(a2, terms, coeffs):
+    """Sums of the magnitudes of the density and gradient terms, per node."""
+    r = np.sqrt((coeffs * coeffs).sum(-1))
+    dens = abs(a2) * r**2
+    grad = 2.0 * abs(a2) * r
+    for m, p, co in terms:
+        d = 2 * m + 3 * p
+        dens = dens + abs(co) * r**d
+        grad = grad + abs(co) * d * r ** (d - 1)
+    return dens + 1e-300, grad + 1e-300
+
+
+def assert_close(got, expected, scale, rtol=1e-12):
+    err = np.abs(got - expected)
+    if err.ndim > np.ndim(scale):
+        err = err.max(-1)
+    assert np.all(err <= rtol * scale), float((err / scale).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=SHAPES, radius=st.floats(0.01, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_square_coeffs_and_invariants_match_matrices(shape, radius, seed):
+    c = random_coeffs_shaped(seed, shape, radius)
+    q = coeffs_to_matrices(c)
+    q2 = q @ q
+    r2 = (c * c).sum(-1)
+    sq = square_coeffs(c)
+    assert sq.shape == c.shape
+    assert_close(sq, np.einsum("...ij,cij->...c", q2, BASIS), r2 + 1e-300)
+    tr2, tr3 = trace_invariants(c)
+    assert np.shape(tr2) == np.shape(tr3) == shape
+    assert_close(tr2, np.trace(q2, axis1=-2, axis2=-1), r2 + 1e-300)
+    assert_close(tr3, np.einsum("...ij,...ji->...", q2, q), r2**1.5 + 1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=SHAPES,
+    radius=st.floats(0.01, 3.0),
+    t=st.floats(40.0, 50.0),
+    eps=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernels_match_matrix_formulation(shape, radius, t, eps, seed):
+    m = mbba(scale=1e-3)
+    c = random_coeffs_shaped(seed, shape, radius)
+    a = a_of_temperature(m, t)
+    quartic = (a / 2.0, ((0, 1, -m.b / 3.0), (2, 0, m.c / 4.0)))
+    for fun, (a2, terms) in ((Quartic(m, t), quartic), (SEXTIC, (SEXTIC.a2, SEXTIC.terms))):
+        dens, grad = matrix_kernels(a2, terms, c)
+        dscale, gscale = kernel_scales(a2, terms, c)
+        assert_close(fun.density(c), dens, dscale)
+        assert_close(fun.gradient(c), grad, gscale)
+
+    # the penalty adds (|Q|^2 - 1/6)^2 / eps^2 above |Q| = 1/sqrt(6) only
+    gl = GLPenalized(m, t, eps)
+    dens, grad = matrix_kernels(*quartic, c)
+    dscale, gscale = kernel_scales(*quartic, c)
+    tr2 = (c * c).sum(-1)
+    excess = np.maximum(tr2 - 1.0 / 6.0, 0.0)
+    dens = dens + excess**2 / eps**2
+    grad = grad + (4.0 / eps**2 * excess)[..., None] * c
+    dscale = dscale + excess**2 / eps**2
+    gscale = gscale + 4.0 / eps**2 * excess * np.sqrt(tr2)
+    assert_close(gl.density(c), dens, dscale)
+    assert_close(gl.gradient(c), grad, gscale)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=SHAPES,
+    radius=st.floats(0.01, 3.0),
+    t=st.floats(40.0, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quartic_is_the_degree4_polynomial(shape, radius, t, seed):
+    m = mbba()
+    c = random_coeffs_shaped(seed, shape, radius)
+    quartic, poly = Quartic(m, t), mbba_quartic_as_polynomial(m, t)
+    assert np.array_equal(quartic.density(c), poly.density(c))
+    assert np.array_equal(quartic.gradient(c), poly.gradient(c))
 
 
 def test_gradient_vanishes_only_on_uniaxial_set():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ldgq import cli
+from ldgq.bounds import BoundAudit
 from ldgq.cli import (
     EXIT_AUDIT,
     EXIT_DIVERGENCE,
@@ -300,3 +301,40 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     flag_dir = tmp_path / "flagout"
     assert cli.main(["--out", str(flag_dir), "phase", "--config", str(cfg)]) == EXIT_OK
     assert (flag_dir / "phase.csv").exists()
+
+
+def test_dump_json_exact_text(tmp_path):
+    audit = BoundAudit(
+        regime="LowTemp",
+        bound_value=np.float64(0.1) * 3,
+        max_interior_norm=np.float32(0.25),
+        max_boundary_norm=0.125,
+        satisfied=np.bool_(True),
+        worst_site=(np.int64(1), 2, 3),
+        slack=1e-3,
+        hypothesis_met=np.bool_(False),
+    )
+    payload = {
+        "audit": audit,
+        "coeffs": np.array([[0.1, -2.0], [np.nan, 3e-300]]),
+        "gamma": None,
+        "vertices": ((1.5, 0.0), (0.0, np.float64(1.5))),
+        "count": np.int64(7),
+    }
+    expected = (
+        '{\n  "audit": {\n    "bound_value": 0.30000000000000004,\n'
+        '    "hypothesis_met": false,\n    "max_boundary_norm": 0.125,\n'
+        '    "max_interior_norm": 0.25,\n    "regime": "LowTemp",\n'
+        '    "satisfied": true,\n    "slack": 0.001,\n'
+        '    "worst_site": [\n      1,\n      2,\n      3\n    ]\n  },\n'
+        '  "coeffs": [\n    [\n      0.1,\n      -2.0\n    ],\n'
+        '    [\n      NaN,\n      3e-300\n    ]\n  ],\n'
+        '  "count": 7,\n  "gamma": null,\n'
+        '  "vertices": [\n    [\n      1.5,\n      0.0\n    ],\n'
+        '    [\n      0.0,\n      1.5\n    ]\n  ]\n}\n'
+    )
+    path = tmp_path / "out.json"
+    assert cli._dump_json(path, payload) == expected
+    assert path.read_text() == expected
+    with pytest.raises(TypeError):
+        cli._dump_json(tmp_path / "bad.json", {"x": object()})

@@ -332,6 +332,22 @@ def test_harmonic_interior_matches_dense_solve(shape, spacings, seed):
     assert filled.values[mask].tobytes() == field.values[mask].tobytes()
 
 
+def test_read_field_diagnostics_name_file_lines(tmp_path):
+    # blank lines after the header are skipped but still counted
+    path = tmp_path / "field.ldgq"
+    write_field(path, QField(Grid3(3, 3, 3, 1.0, 1.0, 1.0), np.zeros((3, 3, 3, 5))))
+    lines = path.read_text().splitlines()
+    lines[1:1] = ["", "   "]
+    lines[5] = lines[5].replace("0.0", "nan", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FieldFormatError, match=r": line 6: non-finite value"):
+        read_field(path)
+    lines[5] = "0 9 2" + lines[5][5:]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FieldFormatError, match=r": line 6: node index \(0 9 2\)"):
+        read_field(path)
+
+
 def test_field_file_roundtrip_and_rejections(tmp_path):
     grid = Grid3(4, 3, 5, 0.25, 1.0, 0.5)
     rng = np.random.default_rng(9)
