@@ -5,12 +5,13 @@ bulk density over nodes plus the elastic Dirichlet form summed over lattice
 edges, every term weighted with the full cell volume. With that quadrature
 the Euler-Lagrange residual (twice the elastic constant times the 7-point
 Laplacian minus the bulk gradient) is the exact negative energy gradient per
-unit node volume at every interior node, so the explicit flow
+unit node volume at every interior node. The flow is implicit in the elastic
+and explicit in the bulk term (Eyre 1998; Shen & Yang, DCDS-A 28, 2010):
 
-    Q <- Q + dt * (2 L lap_h Q - dF_bulk/dQ)
+    Q <- Q + (I/dt - 2 L lap_h)^-1 (2 L lap_h Q - dF_bulk/dQ).
 
-descends the discrete energy whenever dt is small enough; the step control
-halves dt any time a step would raise the energy beyond roundoff.
+Only the bulk term limits dt; the step control halves dt whenever a step
+would raise the energy beyond roundoff.
 """
 
 from __future__ import annotations
@@ -217,30 +218,26 @@ def _sampled_hessian_bound(fun: BulkFunctional, values: np.ndarray) -> float:
     return 1.5 * bound
 
 
-def _auto_dt(fun: BulkFunctional, values: np.ndarray, grid: Grid3, elastic_l: float,
-             diffusion: float) -> float:
-    h2 = grid.min_spacing**2
-    lam = _sampled_hessian_bound(fun, values)
-    return 0.9 * h2 / (diffusion * elastic_l + h2 * lam)
-
-
-def _descend(values, energy_of, residual_of, dt0, tol, max_iters):
-    """Shared explicit-flow loop; returns (values, iterations, energy, rmax, converged, dt)."""
+def _descend(values, energy_of, residual_of, solve, dt0, tol, max_iters):
+    """Shared flow loop stepping by ``solve(res, 1/dt)``; returns (values, iterations, energy,
+    rmax, converged, dt, monotone), where ``monotone`` is False if an accepted energy ever
+    rose above the lowest one before it by more than the roundoff allowance."""
     energy = energy_of(values)
     if not math.isfinite(energy):
         raise DivergenceError("initial field has non-finite energy")
     dt = dt0
     iterations = 0
+    lowest, monotone = energy, True
     while True:
         res = residual_of(values)
         rmax = _max_node_norm(res)
         if rmax <= tol:
-            return values, iterations, energy, rmax, True, dt
+            return values, iterations, energy, rmax, True, dt, monotone
         if iterations >= max_iters:
-            return values, iterations, energy, rmax, False, dt
+            return values, iterations, energy, rmax, False, dt, monotone
         halvings = 0
         while True:
-            trial = values + dt * res
+            trial = values + solve(res, 1.0 / dt)
             trial_energy = energy_of(trial)
             allowance = _ROUNDOFF_ULPS * np.finfo(float).eps * max(1.0, abs(energy))
             if math.isfinite(trial_energy) and trial_energy <= energy + allowance:
@@ -250,14 +247,16 @@ def _descend(values, energy_of, residual_of, dt0, tol, max_iters):
             if halvings > 60:
                 if not math.isfinite(trial_energy):
                     raise DivergenceError("gradient flow produced a non-finite energy")
-                return values, iterations, energy, rmax, False, dt
+                return values, iterations, energy, rmax, False, dt, monotone
+        monotone = monotone and bool(trial_energy <= lowest + allowance)
+        lowest = min(lowest, trial_energy)
         values = trial
         energy = trial_energy
         iterations += 1
 
 
 def minimize(initial: QField, cfg: SolverConfig) -> tuple[QField, SolveReport]:
-    """Relax a field by explicit energy-monotone gradient flow on interior nodes.
+    """Relax a field by semi-implicit energy-monotone gradient flow on interior nodes.
 
     The boundary layer of ``initial`` is the Dirichlet datum and is never
     touched. Convergence means the residual max node norm fell below
@@ -279,17 +278,17 @@ def minimize(initial: QField, cfg: SolverConfig) -> tuple[QField, SolveReport]:
         raise DivergenceError("initial field has non-finite energy")
     dt0 = cfg.dt_init
     if dt0 is None:
-        dt0 = _auto_dt(fun, initial.values, grid, cfg.elastic_l, diffusion=12.0)
+        dt0 = 0.9 / _sampled_hessian_bound(fun, initial.values)
 
-    values, iterations, energy, rmax, converged, dt = _descend(
-        initial.values.copy(), energy_of, residual_of, dt0,
-        cfg.tol_residual, cfg.max_iters)
+    values, iterations, energy, rmax, converged, dt, monotone = _descend(
+        initial.values.copy(), energy_of, residual_of, _shifted_solver(grid, 2.0 * cfg.elastic_l),
+        dt0, cfg.tol_residual, cfg.max_iters)
     report = SolveReport(
         iterations=iterations,
         final_energy=energy,
         final_residual_maxnorm=rmax,
         converged=converged,
-        energy_history_monotone=True,
+        energy_history_monotone=monotone,
         dt_final=dt,
     )
     return initial.with_values(values), report
@@ -344,16 +343,17 @@ def minimize_uniaxial_fixed_director(
 
     dt0 = cfg.dt_init
     if dt0 is None:
-        dt0 = _auto_dt(fun, s[..., None] * base, grid, cfg.elastic_l, diffusion=8.0)
+        dt0 = 0.9 / _sampled_hessian_bound(fun, s[..., None] * base)
 
-    values, iterations, energy, rmax, converged, dt = _descend(
-        s[..., None], energy_of, residual_of, dt0, cfg.tol_residual, cfg.max_iters)
+    values, iterations, energy, rmax, converged, dt, monotone = _descend(
+        s[..., None], energy_of, residual_of, _shifted_solver(grid, (4.0 / 3.0) * cfg.elastic_l),
+        dt0, cfg.tol_residual, cfg.max_iters)
     report = SolveReport(
         iterations=iterations,
         final_energy=energy,
         final_residual_maxnorm=rmax,
         converged=converged,
-        energy_history_monotone=True,
+        energy_history_monotone=monotone,
         dt_final=dt,
         hypothesis_met=hypothesis,
     )
@@ -365,26 +365,41 @@ def _dirichlet_eigh(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh((np.eye(m, k=-1) - 2.0 * np.eye(m) + np.eye(m, k=1)) / h**2)
 
 
+def _shifted_solver(grid: Grid3, c: float):
+    """Return ``solve(b, sigma)`` for (sigma I - c lap_h) x = b, sigma >= 0, c > 0.
+
+    Fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964) in the eigenbasis
+    of the three axes' 1-D Dirichlet second differences, computed once here. ``b`` is
+    (nx, ny, nz, ncomp); its face entries are ignored and x is zero on the faces.
+    """
+    (lx, vx), (ly, vy), (lz, vz) = (
+        _dirichlet_eigh(n - 2, h) for n, h in zip(grid.shape, (grid.hx, grid.hy, grid.hz)))
+    lam = (-c * (lx[:, None, None] + ly[:, None] + lz))[..., None]
+
+    def apply(u, ax, ay, az):  # one axis at a time, each contraction a plain matmul
+        mx, my, mz, n = u.shape
+        u = (ay @ (ax @ u.reshape(mx, -1)).reshape(mx, my, mz * n)).reshape(mx * my, mz, n)
+        return (az @ u).reshape(mx, my, mz, n)
+
+    def solve(b: np.ndarray, sigma: float) -> np.ndarray:
+        x = np.zeros(b.shape)
+        hat = apply(b[1:-1, 1:-1, 1:-1], vx.T, vy.T, vz.T) / (sigma + lam)
+        x[1:-1, 1:-1, 1:-1] = apply(hat, vx, vy, vz)
+        return x
+
+    return solve
+
+
 def harmonic_interior(field: QField) -> QField:
     """Fill the interior with the discrete-harmonic extension of the boundary data.
 
-    Solves the componentwise 7-point Laplace equation on the interior exactly
-    (to roundoff) by fast diagonalization (Lynch, Rice & Thomas, Numer. Math.
-    6, 1964): the boundary values move to the right-hand side, which is
-    transformed into the tensor-product eigenbasis of the three 1-D Dirichlet
-    second-difference matrices (one per axis, each with its own spacing),
-    divided by the summed eigenvalues and transformed back. Boundary nodes
-    are returned bit-identical.
+    Solves the 7-point Laplace equation exactly (the shifted solver at sigma = 0,
+    boundary values moved to the right-hand side); boundary bits are unchanged.
     """
-    grid = field.grid
     values = field.values.copy()
     values[1:-1, 1:-1, 1:-1] = 0.0
-    rhs = -_laplacian(values, grid)[1:-1, 1:-1, 1:-1]
-    (lx, vx), (ly, vy), (lz, vz) = (
-        _dirichlet_eigh(n - 2, h) for n, h in zip(grid.shape, (grid.hx, grid.hy, grid.hz)))
-    hat = np.einsum("ai,bj,ck,abcn->ijkn", vx, vy, vz, rhs, optimize=True)
-    hat /= (lx[:, None, None] + ly[:, None] + lz)[..., None]
-    values[1:-1, 1:-1, 1:-1] = np.einsum("ia,jb,kc,abcn->ijkn", vx, vy, vz, hat, optimize=True)
+    x = _shifted_solver(field.grid, 1.0)(_laplacian(values, field.grid), 0.0)
+    values[1:-1, 1:-1, 1:-1] = x[1:-1, 1:-1, 1:-1]
     return field.with_values(values)
 
 
@@ -410,48 +425,48 @@ def write_field(path, field: QField) -> None:
 
 
 def read_field(path) -> QField:
-    """Read an LDGQ1 field file, rejecting format violations with diagnostics."""
+    """Read an LDGQ1 file in two streaming passes; format violations raise with diagnostics."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FieldFormatError(f"{path}: empty file")
-    header = lines[0].split()
-    if len(header) != 7 or header[0] != "LDGQ1":
-        raise FieldFormatError(f"{path}: line 1: expected header 'LDGQ1 nx ny nz hx hy hz'")
-    try:
-        nx, ny, nz = (int(tok) for tok in header[1:4])
-        hx, hy, hz = (float(tok) for tok in header[4:7])
-    except ValueError as exc:
-        raise FieldFormatError(f"{path}: line 1: malformed header ({exc})") from None
-    try:
-        grid = Grid3(nx, ny, nz, hx, hy, hz)
-    except ValueError as exc:
-        raise FieldFormatError(f"{path}: line 1: {exc}") from None
-    del lines[0]  # node lines only from here on, numbered from 2
-    expected = nx * ny * nz
-    found = sum(1 for ln in lines if ln.strip())
-    if found != expected:
-        raise FieldFormatError(f"{path}: expected {expected} node lines, found {found}")
-    # blank lines are skipped but counted, so diagnostics name the file's own line
-    nodes = ((n, ln.split()) for n, ln in enumerate(lines, start=2) if ln.strip())
-    values = np.empty(grid.shape + (5,))
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                lineno, toks = next(nodes)
-                if len(toks) != 8:
-                    raise FieldFormatError(f"{path}: line {lineno}: expected 8 fields")
-                try:
-                    ii, jj, kk = int(toks[0]), int(toks[1]), int(toks[2])
-                    q = [float(tok) for tok in toks[3:]]
-                except ValueError as exc:
-                    raise FieldFormatError(f"{path}: line {lineno}: {exc}") from None
-                if (ii, jj, kk) != (i, j, k):
-                    raise FieldFormatError(
-                        f"{path}: line {lineno}: node index ({ii} {jj} {kk}) out of order, "
-                        f"expected ({i} {j} {k})"
-                    )
-                if not all(math.isfinite(v) for v in q):
-                    raise FieldFormatError(f"{path}: line {lineno}: non-finite value")
-                values[i, j, k] = q
+        header = fh.readline()
+        if not header:
+            raise FieldFormatError(f"{path}: empty file")
+        header = header.split()
+        if len(header) != 7 or header[0] != "LDGQ1":
+            raise FieldFormatError(f"{path}: line 1: expected header 'LDGQ1 nx ny nz hx hy hz'")
+        try:
+            nx, ny, nz = (int(tok) for tok in header[1:4])
+            hx, hy, hz = (float(tok) for tok in header[4:7])
+        except ValueError as exc:
+            raise FieldFormatError(f"{path}: line 1: malformed header ({exc})") from None
+        try:
+            grid = Grid3(nx, ny, nz, hx, hy, hz)
+        except ValueError as exc:
+            raise FieldFormatError(f"{path}: line 1: {exc}") from None
+        expected = nx * ny * nz
+        found = sum(1 for ln in fh if ln.strip())
+        if found != expected:
+            raise FieldFormatError(f"{path}: expected {expected} node lines, found {found}")
+        fh.seek(0)
+        # blank lines are skipped but counted, so diagnostics name the file's own line
+        nodes = ((n, ln.split()) for n, ln in enumerate(fh, start=1) if n > 1 and ln.strip())
+        values = np.empty(grid.shape + (5,))
+        for i in range(nx):
+            for j in range(ny):
+                for k in range(nz):
+                    lineno, toks = next(nodes)
+                    if len(toks) != 8:
+                        raise FieldFormatError(f"{path}: line {lineno}: expected 8 fields")
+                    try:
+                        ii, jj, kk = int(toks[0]), int(toks[1]), int(toks[2])
+                        q = [float(tok) for tok in toks[3:]]
+                    except ValueError as exc:
+                        raise FieldFormatError(f"{path}: line {lineno}: {exc}") from None
+                    if (ii, jj, kk) != (i, j, k):
+                        raise FieldFormatError(
+                            f"{path}: line {lineno}: node index ({ii} {jj} {kk}) out of order, "
+                            f"expected ({i} {j} {k})"
+                        )
+                    if not all(math.isfinite(v) for v in q):
+                        raise FieldFormatError(f"{path}: line {lineno}: non-finite value")
+                    values[i, j, k] = q
     return QField(grid, values)

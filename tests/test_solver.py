@@ -9,8 +9,10 @@ from ldgq import (
     DivergenceError,
     FieldFormatError,
     GLPenalized,
+    Polynomial,
     Quartic,
     QTensor,
+    a_of_temperature,
     f_bulk,
     rotate_coeffs,
     stationary_scalars,
@@ -20,6 +22,8 @@ from ldgq.solver import (
     Grid3,
     QField,
     SolverConfig,
+    _face_mask,
+    _shifted_solver,
     discrete_energy,
     el_residual,
     harmonic_interior,
@@ -237,6 +241,21 @@ def test_minimize_nonconverged_reports_false():
     assert report.iterations == 3
 
 
+def test_minimize_fine_grid_within_small_budget():
+    # At h = 0.25 an explicit flow's step is capped near h^2 / (12 L), which
+    # takes 233 iterations here; with the elastic term implicit only the bulk
+    # limits dt, so the budget of 60 is enough.
+    m = mbba(scale=1e-3)
+    fun = Polynomial(a2=a_of_temperature(m, 44.0) / 2.0,
+                     terms=((0, 1, -m.b / 3.0), (2, 0, m.c / 4.0), (3, 0, 0.5)))
+    cfg = SolverConfig(functional=fun, elastic_l=m.elastic_l, tol_residual=1e-7, max_iters=60)
+    grid = Grid3(9, 9, 9, 0.25, 0.25, 0.25)
+    _, report = minimize(harmonic_interior(uniform_boundary_field(grid, 0.45)), cfg)
+    assert report.converged
+    assert report.iterations <= 60
+    assert report.energy_history_monotone
+
+
 def test_uniaxial_fixed_director_constant_boundary():
     m, cfg = quartic_cfg(t=45.0, tol_residual=1e-9)
     sp = stationary_scalars(m, 45.0).s_plus
@@ -330,6 +349,44 @@ def test_harmonic_interior_matches_dense_solve(shape, spacings, seed):
     assert np.abs(filled.values - expected).max() <= 1e-12 * np.abs(field.values).max()
     mask = field.boundary_mask
     assert filled.values[mask].tobytes() == field.values[mask].tobytes()
+
+
+def dense_shifted_operator(grid, sigma, c):
+    """Reference (sigma I - c lap_h) on the interior nodes, zero Dirichlet data, node by node."""
+    spacings = (grid.hx, grid.hy, grid.hz)
+    nodes = [(i, j, k) for i in range(1, grid.nx - 1) for j in range(1, grid.ny - 1)
+             for k in range(1, grid.nz - 1)]
+    index = {node: row for row, node in enumerate(nodes)}
+    mat = sigma * np.eye(len(nodes))
+    for row, node in enumerate(nodes):
+        for axis, h in enumerate(spacings):
+            for step in (-1, 1):
+                nbr = list(node)
+                nbr[axis] += step
+                mat[row, row] += c / h**2
+                if tuple(nbr) in index:
+                    mat[row, index[tuple(nbr)]] -= c / h**2
+    return nodes, mat
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(3, 7)] * 3),
+    spacings=st.tuples(*[st.floats(0.25, 4.0)] * 3),
+    sigma=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    c=st.floats(1e-2, 1e2),
+    ncomp=st.sampled_from([1, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shifted_solver_matches_dense_solve(shape, spacings, sigma, c, ncomp, seed):
+    grid = Grid3(*shape, *spacings)
+    b = np.random.default_rng(seed).standard_normal(grid.shape + (ncomp,))
+    x = _shifted_solver(grid, c)(b, sigma)
+    nodes, mat = dense_shifted_operator(grid, sigma, c)
+    interior = tuple(np.array(nodes).T)
+    expected = np.linalg.solve(mat, b[interior])
+    assert np.abs(x[interior] - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.all(x[_face_mask(grid.shape)] == 0.0)
 
 
 def test_read_field_diagnostics_name_file_lines(tmp_path):
