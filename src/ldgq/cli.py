@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -52,7 +53,6 @@ class SolverBlock:
     max_iters: int = 200_000
     restarts: int = 0
     seed: int = 0
-    dt: Optional[float] = None
     slack: float = 1e-3
 
 
@@ -96,17 +96,17 @@ def _floats(value: str, lineno: int, n: int) -> tuple[float, ...]:
     parts = value.split()
     if len(parts) != n:
         raise ConfigError(f"line {lineno}: expected {n} numbers, got {len(parts)}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: non-numeric value '{value}'") from None
+    return tuple(_scalar(p, lineno, float) for p in parts)
 
 
 def _scalar(value: str, lineno: int, cast):
     try:
-        return cast(value)
+        x = cast(value)
     except ValueError:
         raise ConfigError(f"line {lineno}: non-numeric value '{value}'") from None
+    if cast is float and not math.isfinite(x):
+        raise ConfigError(f"line {lineno}: non-finite value '{value}'")
+    return x
 
 
 def parse_config(text: str) -> RunConfig:
@@ -120,7 +120,7 @@ def parse_config(text: str) -> RunConfig:
       [grid]         nx, ny, nz, hx, hy, hz
       [boundary]     kind = uniaxial|biaxial|per-face; s0, director (uniaxial);
                      s, r, e1, e2 (biaxial); xlo..zhi, director (per-face)
-      [solver]       tol, max_iters, restarts, seed, dt, slack
+      [solver]       tol, max_iters, restarts, seed, slack
     """
     sections = _parse_sections(text)
     cfg: dict = {}
@@ -237,7 +237,7 @@ def parse_config(text: str) -> RunConfig:
     if "solver" in sections:
         svals: dict = {}
         for lineno, key, value in sections["solver"]:
-            if key in ("tol", "dt", "slack"):
+            if key in ("tol", "slack"):
                 svals[key] = _scalar(value, lineno, float)
             elif key in ("max_iters", "restarts", "seed"):
                 svals[key] = _scalar(value, lineno, int)
@@ -302,8 +302,6 @@ def serialize_config(cfg: RunConfig) -> str:
     out.append(f"max_iters = {s.max_iters}")
     out.append(f"restarts = {s.restarts}")
     out.append(f"seed = {s.seed}")
-    if s.dt is not None:
-        out.append(f"dt = {s.dt!r}")
     out.append(f"slack = {s.slack!r}")
     return "\n".join(out) + "\n"
 
@@ -426,7 +424,7 @@ def _audit_exit(audit: bounds.BoundAudit, converged: bool) -> int:
     return EXIT_DIVERGENCE  # converged is False: solver gave up
 
 
-def cmd_minimize(cfg: RunConfig, out_dir: Path, seed: Optional[int], slack: Optional[float]) -> int:
+def cmd_minimize(cfg: RunConfig, out_dir: Path) -> int:
     """Relax a field from boundary data, then write field, report, and audit."""
     _require(cfg, "material", "grid", "boundary")
     temps = _temperatures(cfg)
@@ -435,12 +433,9 @@ def cmd_minimize(cfg: RunConfig, out_dir: Path, seed: Optional[int], slack: Opti
     t = temps[0]
     fun = build_functional(cfg, t)
     sblock = cfg.solver
-    use_seed = sblock.seed if seed is None else seed
-    use_slack = sblock.slack if slack is None else slack
     scfg = solver.SolverConfig(
         functional=fun,
         elastic_l=cfg.material.elastic_l,
-        dt_init=sblock.dt,
         tol_residual=sblock.tol,
         max_iters=sblock.max_iters,
     )
@@ -460,17 +455,17 @@ def cmd_minimize(cfg: RunConfig, out_dir: Path, seed: Optional[int], slack: Opti
     runs.append((field, dataclasses.replace(report, seed=None)))
     interior = ~base_field.boundary_mask
     for restart in range(sblock.restarts):
-        rng = np.random.default_rng(use_seed + restart)
+        rng = np.random.default_rng(sblock.seed + restart)
         perturbed = base_field.values.copy()
         perturbed[interior] += amp * rng.standard_normal(perturbed[interior].shape)
         field, report = solver.minimize(base_field.with_values(perturbed), scfg)
-        runs.append((field, dataclasses.replace(report, seed=use_seed + restart)))
+        runs.append((field, dataclasses.replace(report, seed=sblock.seed + restart)))
 
     converged_runs = [run for run in runs if run[1].converged]
     pool = converged_runs or runs
     field, report = min(pool, key=lambda run: run[1].final_energy)
 
-    audit = bounds.audit_field(field, fun, cfg.material, t, slack=use_slack)
+    audit = bounds.audit_field(field, fun, cfg.material, t, slack=sblock.slack)
 
     field_path = out_dir / "field.ldgq"
     solver.write_field(field_path, field)
@@ -482,7 +477,7 @@ def cmd_minimize(cfg: RunConfig, out_dir: Path, seed: Optional[int], slack: Opti
     return _audit_exit(audit, report.converged)
 
 
-def cmd_verify(field_path: str, cfg: RunConfig, out_dir: Path, slack: Optional[float]) -> int:
+def cmd_verify(field_path: str, cfg: RunConfig, out_dir: Path) -> int:
     """Audit a stored field without re-solving."""
     _require(cfg, "material")
     temps = _temperatures(cfg)
@@ -490,9 +485,8 @@ def cmd_verify(field_path: str, cfg: RunConfig, out_dir: Path, slack: Optional[f
         raise ConfigError("verify needs a single temperature, not a sweep")
     t = temps[0]
     fun = build_functional(cfg, t)
-    use_slack = cfg.solver.slack if slack is None else slack
     field = solver.read_field(field_path)
-    audit = bounds.audit_field(field, fun, cfg.material, t, slack=use_slack)
+    audit = bounds.audit_field(field, fun, cfg.material, t, slack=cfg.solver.slack)
     text = _dump_json(out_dir / "verify_audit.json", audit)
     sys.stdout.write(text)
     return _audit_exit(audit, converged=True)
@@ -526,8 +520,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "for nematic liquid crystals",
     )
     parser.add_argument("--out", default=None, help="output directory (default $LDGQ_OUT or .)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--slack", type=float, default=None, help="override the audit slack")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("phase", "triangles", "minimize"):
@@ -561,9 +553,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "triangles":
             return cmd_triangles(_load_config(args.config), out_dir)
         if args.command == "minimize":
-            return cmd_minimize(_load_config(args.config), out_dir, args.seed, args.slack)
+            return cmd_minimize(_load_config(args.config), out_dir)
         if args.command == "verify":
-            return cmd_verify(args.field, _load_config(args.config), out_dir, args.slack)
+            return cmd_verify(args.field, _load_config(args.config), out_dir)
         if args.command == "moments":
             return cmd_moments(args.density, args.level, out_dir)
         raise AssertionError(f"unhandled command {args.command}")

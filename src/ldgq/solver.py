@@ -5,19 +5,22 @@ bulk density over nodes plus the elastic Dirichlet form summed over lattice
 edges, every term weighted with the full cell volume. With that quadrature
 the Euler-Lagrange residual (twice the elastic constant times the 7-point
 Laplacian minus the bulk gradient) is the exact negative energy gradient per
-unit node volume at every interior node. The flow is implicit in the elastic
-and explicit in the bulk term (Eyre 1998; Shen & Yang, DCDS-A 28, 2010):
+unit node volume at every interior node. One gradient flow, implicit in the
+elastic and explicit in the bulk term (Eyre 1998; Shen & Yang, DCDS-A 28, 2010),
 
-    Q <- Q + (I/dt - 2 L lap_h)^-1 (2 L lap_h Q - dF_bulk/dQ).
+    Q <- Q + (I/dt - c lap_h)^-1 (c lap_h Q - dF_bulk/dQ),
 
-Only the bulk term limits dt; the step control halves dt whenever a step
-would raise the energy beyond roundoff.
+serves both minimizers: ``minimize`` relaxes the five coefficients with
+c = 2 L, and ``minimize_uniaxial_fixed_director`` relaxes the scalar s of
+Q = s (n x n - I/3) for a fixed n with c = (4/3) L, on the full energy
+restricted to that line. Only the bulk term limits dt; the step control
+halves dt whenever a step would raise the energy beyond roundoff.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -61,8 +64,14 @@ class Grid3:
             if getattr(self, name) < 3:
                 raise ValueError(f"Grid3.{name} must be >= 3 (one interior node per axis)")
         for name in ("hx", "hy", "hz"):
-            if not getattr(self, name) > 0.0:
+            h = getattr(self, name)
+            if not h > 0.0:
                 raise ValueError(f"Grid3.{name} must be positive")
+            # the stencils divide by h^2, which must neither overflow nor underflow
+            if not (0.0 < h * h < math.inf and math.isfinite(1.0 / (h * h))):
+                raise ValueError(f"Grid3.{name} = {h!r} is out of range (1/{name}^2 must be finite)")
+        if not 0.0 < self.node_volume < math.inf:
+            raise ValueError("Grid3 node volume hx*hy*hz must be finite and nonzero")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -71,10 +80,6 @@ class Grid3:
     @property
     def node_volume(self) -> float:
         return self.hx * self.hy * self.hz
-
-    @property
-    def min_spacing(self) -> float:
-        return min(self.hx, self.hy, self.hz)
 
 
 def _face_mask(shape: tuple[int, int, int]) -> np.ndarray:
@@ -110,11 +115,10 @@ class QField:
         return cls(grid, values)
 
     @classmethod
-    def from_boundary(cls, grid: Grid3, boundary_values: np.ndarray, interior_coeffs=None) -> "QField":
-        """Take face nodes from ``boundary_values`` and fill the interior."""
+    def from_boundary(cls, grid: Grid3, boundary_values: np.ndarray) -> "QField":
+        """Take face nodes from ``boundary_values`` and zero the interior."""
         field = cls(grid, np.asarray(boundary_values, dtype=float).copy())
-        fill = np.zeros(5) if interior_coeffs is None else np.asarray(interior_coeffs, dtype=float)
-        field.values[~field.boundary_mask] = fill
+        field.values[~field.boundary_mask] = 0.0
         return field
 
     def with_values(self, values: np.ndarray) -> "QField":
@@ -126,19 +130,16 @@ class QField:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Gradient-flow parameters; ``dt_init`` of None selects the stable default."""
+    """Gradient-flow parameters."""
 
     functional: BulkFunctional
     elastic_l: float
-    dt_init: Optional[float] = None
     tol_residual: float = 1e-8
     max_iters: int = 200_000
 
     def __post_init__(self):
         if not self.elastic_l > 0.0:
             raise ValueError("elastic_l must be positive")
-        if self.dt_init is not None and not self.dt_init > 0.0:
-            raise ValueError("dt_init must be positive")
         if not self.tol_residual > 0.0:
             raise ValueError("tol_residual must be positive")
         if self.max_iters < 0:
@@ -174,18 +175,22 @@ def _edge_dirichlet_sum(values: np.ndarray, grid: Grid3) -> float:
     return float(total)
 
 
+def _energy(values: np.ndarray, grid: Grid3, c: float, density) -> float:
+    """Node volume times (bulk density sum + (c/2) * edge Dirichlet sum)."""
+    return grid.node_volume * (float(np.sum(density(values)))
+                               + 0.5 * c * _edge_dirichlet_sum(values, grid))
+
+
+def _residual(values: np.ndarray, grid: Grid3, c: float, gradient) -> np.ndarray:
+    """c lap_h - gradient, zero on the faces: minus the energy gradient per node volume."""
+    res = c * _laplacian(values, grid) - gradient(values)
+    res[_face_mask(grid.shape)] = 0.0
+    return res
+
+
 def discrete_energy(field: QField, cfg: SolverConfig) -> float:
     """Rectangle-rule energy: node volume times (bulk density sum + L * edge Dirichlet sum)."""
-    bulk = float(np.sum(cfg.functional.density(field.values)))
-    elastic = cfg.elastic_l * _edge_dirichlet_sum(field.values, field.grid)
-    return field.grid.node_volume * (bulk + elastic)
-
-
-def _residual_arrays(values: np.ndarray, grid: Grid3, fun: BulkFunctional, elastic_l: float,
-                     interior: np.ndarray) -> np.ndarray:
-    res = 2.0 * elastic_l * _laplacian(values, grid) - fun.gradient(values)
-    res[~interior] = 0.0
-    return res
+    return _energy(field.values, field.grid, 2.0 * cfg.elastic_l, cfg.functional.density)
 
 
 def el_residual(field: QField, cfg: SolverConfig) -> np.ndarray:
@@ -194,8 +199,7 @@ def el_residual(field: QField, cfg: SolverConfig) -> np.ndarray:
     Equals minus the gradient of ``discrete_energy`` with respect to the node
     coefficients divided by the node volume, exactly, at every interior node.
     """
-    return _residual_arrays(field.values, field.grid, cfg.functional, cfg.elastic_l,
-                            ~field.boundary_mask)
+    return _residual(field.values, field.grid, 2.0 * cfg.elastic_l, cfg.functional.gradient)
 
 
 def _max_node_norm(arr: np.ndarray) -> float:
@@ -218,41 +222,52 @@ def _sampled_hessian_bound(fun: BulkFunctional, values: np.ndarray) -> float:
     return 1.5 * bound
 
 
-def _descend(values, energy_of, residual_of, solve, dt0, tol, max_iters):
-    """Shared flow loop stepping by ``solve(res, 1/dt)``; returns (values, iterations, energy,
-    rmax, converged, dt, monotone), where ``monotone`` is False if an accepted energy ever
-    rose above the lowest one before it by more than the roundoff allowance."""
-    energy = energy_of(values)
+def _flow(values: np.ndarray, grid: Grid3, c: float, density, gradient, coeffs: np.ndarray,
+          cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
+    """Energy-monotone gradient flow of ``_energy(values, grid, c, density)`` on interior nodes.
+
+    Each step adds x solving (I/dt - c lap_h) x = ``_residual(values, grid, c, gradient)``.
+    dt starts at 0.9 over the sampled bulk Hessian bound of ``cfg.functional`` at
+    ``coeffs``, the five-coefficient field of ``values``, and is halved whenever a step
+    would raise the energy beyond roundoff. ``energy_history_monotone`` is False if an
+    accepted energy ever rose above the lowest one before it by more than that allowance.
+    """
+    energy = _energy(values, grid, c, density)
     if not math.isfinite(energy):
         raise DivergenceError("initial field has non-finite energy")
-    dt = dt0
+    dt = 0.9 / _sampled_hessian_bound(cfg.functional, coeffs)
+    solve = _shifted_solver(grid, c)
     iterations = 0
     lowest, monotone = energy, True
     while True:
-        res = residual_of(values)
+        res = _residual(values, grid, c, gradient)
         rmax = _max_node_norm(res)
-        if rmax <= tol:
-            return values, iterations, energy, rmax, True, dt, monotone
-        if iterations >= max_iters:
-            return values, iterations, energy, rmax, False, dt, monotone
-        halvings = 0
-        while True:
+        if rmax <= cfg.tol_residual or iterations >= cfg.max_iters:
+            break
+        for _ in range(61):  # the first trial and up to 60 halvings
             trial = values + solve(res, 1.0 / dt)
-            trial_energy = energy_of(trial)
+            trial_energy = _energy(trial, grid, c, density)
             allowance = _ROUNDOFF_ULPS * np.finfo(float).eps * max(1.0, abs(energy))
             if math.isfinite(trial_energy) and trial_energy <= energy + allowance:
                 break
             dt *= 0.5
-            halvings += 1
-            if halvings > 60:
-                if not math.isfinite(trial_energy):
-                    raise DivergenceError("gradient flow produced a non-finite energy")
-                return values, iterations, energy, rmax, False, dt, monotone
+        else:
+            if not math.isfinite(trial_energy):
+                raise DivergenceError("gradient flow produced a non-finite energy")
+            break  # the step collapsed
         monotone = monotone and bool(trial_energy <= lowest + allowance)
         lowest = min(lowest, trial_energy)
         values = trial
         energy = trial_energy
         iterations += 1
+    return values, SolveReport(
+        iterations=iterations,
+        final_energy=energy,
+        final_residual_maxnorm=rmax,
+        converged=rmax <= cfg.tol_residual,
+        energy_history_monotone=monotone,
+        dt_final=dt,
+    )
 
 
 def minimize(initial: QField, cfg: SolverConfig) -> tuple[QField, SolveReport]:
@@ -263,34 +278,11 @@ def minimize(initial: QField, cfg: SolverConfig) -> tuple[QField, SolveReport]:
     ``cfg.tol_residual``; hitting ``max_iters`` returns the best (latest)
     iterate with ``converged`` False.
     """
-    grid = initial.grid
-    interior = ~initial.boundary_mask
-    fun = cfg.functional
-
-    def energy_of(values):
-        bulk = float(np.sum(fun.density(values)))
-        return grid.node_volume * (bulk + cfg.elastic_l * _edge_dirichlet_sum(values, grid))
-
-    def residual_of(values):
-        return _residual_arrays(values, grid, fun, cfg.elastic_l, interior)
-
-    if not math.isfinite(energy_of(initial.values)):
+    if not math.isfinite(discrete_energy(initial, cfg)):
         raise DivergenceError("initial field has non-finite energy")
-    dt0 = cfg.dt_init
-    if dt0 is None:
-        dt0 = 0.9 / _sampled_hessian_bound(fun, initial.values)
-
-    values, iterations, energy, rmax, converged, dt, monotone = _descend(
-        initial.values.copy(), energy_of, residual_of, _shifted_solver(grid, 2.0 * cfg.elastic_l),
-        dt0, cfg.tol_residual, cfg.max_iters)
-    report = SolveReport(
-        iterations=iterations,
-        final_energy=energy,
-        final_residual_maxnorm=rmax,
-        converged=converged,
-        energy_history_monotone=monotone,
-        dt_final=dt,
-    )
+    fun = cfg.functional
+    values, report = _flow(initial.values.copy(), initial.grid, 2.0 * cfg.elastic_l,
+                           fun.density, fun.gradient, initial.values, cfg)
     return initial.with_values(values), report
 
 
@@ -328,36 +320,14 @@ def minimize_uniaxial_fixed_director(
             bvals = s_boundary[mask]
             hypothesis = bool((bvals > 0.0).all() and (bvals < cap).all())
 
-    # _descend works on arrays with a trailing component axis; the scalar
-    # order parameter rides along as a single component.
-    def energy_of(svals):
-        dens = float(np.sum(fun.density(svals * base)))
-        elastic = (2.0 / 3.0) * cfg.elastic_l * _edge_dirichlet_sum(svals, grid)
-        return grid.node_volume * (dens + elastic)
+    # the scalar order parameter rides along as a single trailing component
+    def gradient(svals):
+        return np.einsum("...c,c->...", fun.gradient(svals * base), base)[..., None]
 
-    def residual_of(svals):
-        grad = np.einsum("...c,c->...", fun.gradient(svals * base), base)
-        res = (4.0 / 3.0) * cfg.elastic_l * _laplacian(svals, grid)[..., 0] - grad
-        res[mask] = 0.0
-        return res[..., None]
-
-    dt0 = cfg.dt_init
-    if dt0 is None:
-        dt0 = 0.9 / _sampled_hessian_bound(fun, s[..., None] * base)
-
-    values, iterations, energy, rmax, converged, dt, monotone = _descend(
-        s[..., None], energy_of, residual_of, _shifted_solver(grid, (4.0 / 3.0) * cfg.elastic_l),
-        dt0, cfg.tol_residual, cfg.max_iters)
-    report = SolveReport(
-        iterations=iterations,
-        final_energy=energy,
-        final_residual_maxnorm=rmax,
-        converged=converged,
-        energy_history_monotone=monotone,
-        dt_final=dt,
-        hypothesis_met=hypothesis,
-    )
-    return values[..., 0].copy(), report
+    values, report = _flow(s[..., None], grid, (4.0 / 3.0) * cfg.elastic_l,
+                           lambda svals: fun.density(svals * base), gradient,
+                           s[..., None] * base, cfg)
+    return values[..., 0].copy(), replace(report, hypothesis_met=hypothesis)
 
 
 def _dirichlet_eigh(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:

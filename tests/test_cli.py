@@ -70,6 +70,15 @@ def test_parse_errors_have_line_numbers():
         parse_config("[material]\nalpha = 1.0\nb == 2\n")
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config("[materialz]\n")
+    # non-finite numbers are bad input, not a solver divergence
+    with pytest.raises(ConfigError, match="line 2: non-finite value 'nan'"):
+        parse_config("[temperature]\nvalue = nan\n")
+    with pytest.raises(ConfigError, match="line 3: non-finite value 'inf'"):
+        parse_config("[grid]\nnx = 5\nhx = inf\n")
+    with pytest.raises(ConfigError, match="line 2: non-finite value '-inf'"):
+        parse_config("[material]\nalpha = -inf\n")
+    with pytest.raises(ConfigError, match="line 3: non-finite value 'NaN'"):
+        parse_config("[boundary]\nkind = uniaxial\ndirector = 0 NaN 1\n")
 
 
 def test_config_roundtrip_idempotent():
@@ -251,6 +260,25 @@ def test_exit_code_contract(tmp_path):
         ["--out", str(tmp_path), "verify", str(tmp_path / "thin.ldgq"), "--config", str(cfg_lt)]
     )
     assert rc == EXIT_PARSE
+
+
+@pytest.mark.parametrize("edit", [("value = 44.5", "value = nan"), ("hy = 1.0", "hy = inf"),
+                                  ("hy = 1.0", "hy = 1e308"), ("hy = 1.0", "hy = 1e-200")])
+def test_minimize_rejects_out_of_range_numbers(tmp_path, capsys, edit):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(minimize_config(nx=5).replace(*edit))
+    rc = cli.main(["--out", str(tmp_path), "minimize", "--config", str(cfg)])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--slack"])
+def test_removed_global_overrides_are_usage_errors(tmp_path, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(minimize_config(nx=5))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag, "1", "--out", str(tmp_path), "minimize", "--config", str(cfg)])
+    assert exc.value.code == EXIT_PARSE
 
 
 def test_moments_command(tmp_path, capsys):

@@ -39,9 +39,9 @@ def quartic_cfg(t=44.5, **kw):
     return m, SolverConfig(functional=Quartic(m, t), elastic_l=m.elastic_l, **kw)
 
 
-def uniform_boundary_field(grid, s, director=Z, interior=None):
+def uniform_boundary_field(grid, s, director=Z):
     bvals = np.broadcast_to(uniaxial_coeffs(s, director), grid.shape + (5,)).copy()
-    return QField.from_boundary(grid, bvals, interior_coeffs=interior)
+    return QField.from_boundary(grid, bvals)
 
 
 def test_grid_validation():
@@ -49,9 +49,14 @@ def test_grid_validation():
         Grid3(2, 5, 5, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         Grid3(5, 5, 5, 0.0, 1.0, 1.0)
+    # spacings whose 1/h^2 or node volume leaves the float range
+    for h in (float("nan"), float("inf"), 1e308, 1e-200, 1e-160):
+        with pytest.raises(ValueError):
+            Grid3(5, 5, 5, 1.0, h, 1.0)
+    with pytest.raises(ValueError, match="node volume"):
+        Grid3(5, 5, 5, 1e150, 1e150, 1e150)
     g = Grid3(4, 5, 6, 0.5, 1.0, 2.0)
     assert g.node_volume == 1.0
-    assert g.min_spacing == 0.5
 
 
 def test_energy_constant_field():
@@ -294,6 +299,32 @@ def test_uniaxial_hypothesis_flag_records_violation():
     grid = Grid3(5, 5, 5, 1.0, 1.0, 1.0)
     _, report = minimize_uniaxial_fixed_director(grid, 1.5 * sp, Z, cfg)
     assert report.hypothesis_met is False
+
+
+@pytest.mark.parametrize("variant", ["quartic", "gl", "poly"])
+def test_fixed_director_flow_is_the_full_flow_restricted(variant):
+    # The scalar flow minimizes the full energy on the line Q = s (n x n - I/3):
+    # its energy is the full discrete energy of the lifted field, and since
+    # |n x n - I/3| = sqrt(2/3) and the full residual lies along n x n - I/3,
+    # the full residual's max node norm is sqrt(3/2) times the scalar one.
+    m = mbba(scale=1e-3)
+    fun = {
+        "quartic": Quartic(m, 44.5),
+        "gl": GLPenalized(m, 44.5, 0.1),
+        "poly": Polynomial(a2=a_of_temperature(m, 44.0) / 2.0,
+                           terms=((0, 1, -m.b / 3.0), (2, 0, m.c / 4.0), (3, 0, 0.5))),
+    }[variant]
+    cfg = SolverConfig(functional=fun, elastic_l=m.elastic_l, tol_residual=1e-9)
+    grid = Grid3(7, 6, 8, 0.9, 1.0, 1.2)
+    director = np.array([1.0, 2.0, 2.0]) / 3.0
+    ramp = np.linspace(0.2, 0.5, grid.nx)
+    s, report = minimize_uniaxial_fixed_director(
+        grid, np.broadcast_to(ramp[:, None, None], grid.shape), director, cfg)
+    assert report.converged
+    lifted = QField(grid, uniaxial_coeffs(s, director))
+    assert report.final_energy == pytest.approx(discrete_energy(lifted, cfg), rel=1e-12)
+    full = np.linalg.norm(el_residual(lifted, cfg), axis=-1).max()
+    assert full == pytest.approx(np.sqrt(1.5) * report.final_residual_maxnorm, rel=1e-9)
 
 
 def test_harmonic_interior_linear_data_reproduced():
