@@ -120,7 +120,7 @@ def parse_config(text: str) -> RunConfig:
       [grid]         nx, ny, nz, hx, hy, hz
       [boundary]     kind = uniaxial|biaxial|per-face; s0, director (uniaxial);
                      s, r, e1, e2 (biaxial); xlo..zhi, director (per-face)
-      [solver]       tol, max_iters, restarts, seed, slack
+      [solver]       tol (> 0); max_iters, restarts, seed, slack (>= 0)
     """
     sections = _parse_sections(text)
     cfg: dict = {}
@@ -243,6 +243,10 @@ def parse_config(text: str) -> RunConfig:
                 svals[key] = _scalar(value, lineno, int)
             else:
                 raise ConfigError(f"line {lineno}: unknown solver key '{key}'")
+            if key == "tol" and not svals[key] > 0.0:
+                raise ConfigError(f"line {lineno}: tol must be positive")
+            if svals[key] < 0:
+                raise ConfigError(f"line {lineno}: {key} must be nonnegative")
         cfg["solver"] = SolverBlock(**svals)
 
     return RunConfig(**cfg)

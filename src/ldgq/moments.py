@@ -9,6 +9,7 @@ up to roundoff, regardless of quadrature resolution.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,36 +173,104 @@ def load_density_csv(path, quad: SphericalQuadrature) -> Distribution:
     Multiple samples landing on one node are averaged; nodes without samples
     get zero. Blank lines, comment lines starting with '#', and a header line
     of column names are skipped. Negative values are rejected.
+
+    The rows are parsed in one ``np.loadtxt`` call. Only a file that parse
+    rejects, or that holds a negative value, goes through the per-line reader,
+    which accepts or rejects it and names the offending line.
     """
-    sums = np.zeros_like(quad.weights)
-    counts = np.zeros_like(quad.weights)
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = [p.strip() for p in text.split(",")]
-            if len(parts) != 3:
-                raise NormalizationError(
-                    f"{path}: line {lineno}: expected 'theta,phi,value'"
-                )
-            try:
-                theta, phi, value = (float(p) for p in parts)
-            except ValueError:
-                if lineno == 1:  # tolerate a header row
-                    continue
-                raise NormalizationError(
-                    f"{path}: line {lineno}: non-numeric row"
-                ) from None
-            if value < 0.0:
-                raise NormalizationError(f"{path}: line {lineno}: negative density")
-            p = np.array(
-                [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-            )
-            nearest = int(np.argmax(quad.nodes @ p))
-            sums[nearest] += value
-            counts[nearest] += 1.0
-    if not counts.any():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # e.g. no rows: let the line reader judge
+                rows = np.loadtxt(_data_lines(fh), delimiter=",", comments=None, ndmin=2)
+        except (ValueError, Warning):
+            rows = None
+        if rows is None or rows.shape[1] != 3 or (rows[:, 2] < 0.0).any():
+            fh.seek(0)
+            rows = _read_sample_lines(path, fh)
+    if not len(rows):
         raise NormalizationError(f"{path}: no density samples found")
+    theta, phi, value = rows.T
+    sin_theta = np.sin(theta)
+    points = np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)], axis=1)
+    nearest = _nearest_nodes(points, quad.nodes)
+    n = len(quad.weights)
+    sums = np.bincount(nearest, weights=value, minlength=n)  # adds in file order
+    counts = np.bincount(nearest, minlength=n)
     values = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     return distribution_from_values(quad, values)
+
+
+def _is_header(text: str) -> bool:
+    """Line 1 is a header when it has three fields and one is not a number."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        return False
+    try:
+        for part in parts:
+            float(part)
+    except ValueError:
+        return True
+    return False
+
+
+def _data_lines(fh):
+    """The lines that hold samples: no blank or '#' lines, no header on line 1."""
+    for lineno, line in enumerate(fh, start=1):
+        text = line.strip()
+        if text and not text.startswith("#") and not (lineno == 1 and _is_header(text)):
+            yield text
+
+
+def _read_sample_lines(path, fh) -> np.ndarray:
+    """Line-by-line reader of the samples as an (n, 3) array."""
+    rows = []
+    for lineno, line in enumerate(fh, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) != 3:
+            raise NormalizationError(
+                f"{path}: line {lineno}: expected 'theta,phi,value'"
+            )
+        try:
+            theta, phi, value = (float(p) for p in parts)
+        except ValueError:
+            if lineno == 1:  # tolerate a header row
+                continue
+            raise NormalizationError(
+                f"{path}: line {lineno}: non-numeric row"
+            ) from None
+        if value < 0.0:
+            raise NormalizationError(f"{path}: line {lineno}: negative density")
+        rows.append((theta, phi, value))
+    return np.array(rows, dtype=float).reshape(-1, 3)
+
+
+# Points per matmul; at level 16 the dot products (1.2 MB) stay in cache.
+_CHUNK_ROWS = 256
+# Bound on the rounding gap between two evaluations of one dot product of unit
+# vectors; a second node within it of the best makes the ranking order-sensitive.
+_TIE_GAP = 1e-12
+
+
+def _nearest_nodes(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Per point, the node index that ``np.argmax(nodes @ p)`` gives.
+
+    The dot products come from one matmul per chunk of points. Different BLAS
+    kernels round them differently in the last bit, so a point with a second
+    node within ``_TIE_GAP`` of its best is ranked again with ``nodes @ p``.
+    """
+    nearest = np.empty(len(points), dtype=np.intp)
+    for start in range(0, len(points), _CHUNK_ROWS):
+        chunk = points[start:start + _CHUNK_ROWS]
+        dots = chunk @ nodes.T
+        rows = np.arange(len(chunk))
+        best = dots.argmax(axis=1)
+        top = dots[rows, best]
+        nearest[start:start + len(chunk)] = best
+        dots[rows, best] = -np.inf
+        for r in np.flatnonzero(top - dots.max(axis=1) <= _TIE_GAP):
+            nearest[start + r] = np.argmax(nodes @ chunk[r].copy())
+    return nearest

@@ -20,6 +20,7 @@ halves dt whenever a step would raise the energy beyond roundoff.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -394,49 +395,82 @@ def write_field(path, field: QField) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# One LDGQ1 node line: three integer indices, then the five coefficients.
+_NODE_ROW = np.dtype([("index", np.int64, (3,)), ("coeffs", np.float64, (5,))])
+
+
 def read_field(path) -> QField:
-    """Read an LDGQ1 file in two streaming passes; format violations raise with diagnostics."""
+    """Read an LDGQ1 file; format violations raise with the file's own line number.
+
+    The body is parsed in one ``np.loadtxt`` call and checked as arrays. Only a
+    body that parse rejects, or that fails a check, goes through the per-line
+    reader, which accepts or rejects it and names the offending line.
+    """
     with open(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise FieldFormatError(f"{path}: empty file")
-        header = header.split()
-        if len(header) != 7 or header[0] != "LDGQ1":
-            raise FieldFormatError(f"{path}: line 1: expected header 'LDGQ1 nx ny nz hx hy hz'")
+        grid = _read_header(path, fh)
         try:
-            nx, ny, nz = (int(tok) for tok in header[1:4])
-            hx, hy, hz = (float(tok) for tok in header[4:7])
-        except ValueError as exc:
-            raise FieldFormatError(f"{path}: line 1: malformed header ({exc})") from None
-        try:
-            grid = Grid3(nx, ny, nz, hx, hy, hz)
-        except ValueError as exc:
-            raise FieldFormatError(f"{path}: line 1: {exc}") from None
-        expected = nx * ny * nz
-        found = sum(1 for ln in fh if ln.strip())
-        if found != expected:
-            raise FieldFormatError(f"{path}: expected {expected} node lines, found {found}")
-        fh.seek(0)
-        # blank lines are skipped but counted, so diagnostics name the file's own line
-        nodes = ((n, ln.split()) for n, ln in enumerate(fh, start=1) if n > 1 and ln.strip())
-        values = np.empty(grid.shape + (5,))
-        for i in range(nx):
-            for j in range(ny):
-                for k in range(nz):
-                    lineno, toks = next(nodes)
-                    if len(toks) != 8:
-                        raise FieldFormatError(f"{path}: line {lineno}: expected 8 fields")
-                    try:
-                        ii, jj, kk = int(toks[0]), int(toks[1]), int(toks[2])
-                        q = [float(tok) for tok in toks[3:]]
-                    except ValueError as exc:
-                        raise FieldFormatError(f"{path}: line {lineno}: {exc}") from None
-                    if (ii, jj, kk) != (i, j, k):
-                        raise FieldFormatError(
-                            f"{path}: line {lineno}: node index ({ii} {jj} {kk}) out of order, "
-                            f"expected ({i} {j} {k})"
-                        )
-                    if not all(math.isfinite(v) for v in q):
-                        raise FieldFormatError(f"{path}: line {lineno}: non-finite value")
-                    values[i, j, k] = q
-    return QField(grid, values)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # e.g. an empty body: let the line reader judge
+                rows = np.loadtxt(fh, dtype=_NODE_ROW, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            rows = None
+        # array_equal also checks the row count
+        if (
+            rows is not None
+            and np.array_equal(rows["index"], np.indices(grid.shape).reshape(3, -1).T)
+            and np.isfinite(rows["coeffs"]).all()
+        ):
+            return QField(grid, np.ascontiguousarray(rows["coeffs"]).reshape(grid.shape + (5,)))
+        return QField(grid, _read_node_lines(path, fh, grid))
+
+
+def _read_header(path, fh) -> Grid3:
+    header = fh.readline()
+    if not header:
+        raise FieldFormatError(f"{path}: empty file")
+    header = header.split()
+    if len(header) != 7 or header[0] != "LDGQ1":
+        raise FieldFormatError(f"{path}: line 1: expected header 'LDGQ1 nx ny nz hx hy hz'")
+    try:
+        nx, ny, nz = (int(tok) for tok in header[1:4])
+        hx, hy, hz = (float(tok) for tok in header[4:7])
+    except ValueError as exc:
+        raise FieldFormatError(f"{path}: line 1: malformed header ({exc})") from None
+    try:
+        return Grid3(nx, ny, nz, hx, hy, hz)
+    except ValueError as exc:
+        raise FieldFormatError(f"{path}: line 1: {exc}") from None
+
+
+def _read_node_lines(path, fh, grid: Grid3) -> np.ndarray:
+    """Line-by-line reader of the body, in two streaming passes over ``fh``."""
+    fh.seek(0)
+    fh.readline()
+    expected = grid.nx * grid.ny * grid.nz
+    found = sum(1 for ln in fh if ln.strip())
+    if found != expected:
+        raise FieldFormatError(f"{path}: expected {expected} node lines, found {found}")
+    fh.seek(0)
+    # blank lines are skipped but counted, so diagnostics name the file's own line
+    nodes = ((n, ln.split()) for n, ln in enumerate(fh, start=1) if n > 1 and ln.strip())
+    values = np.empty(grid.shape + (5,))
+    for i in range(grid.nx):
+        for j in range(grid.ny):
+            for k in range(grid.nz):
+                lineno, toks = next(nodes)
+                if len(toks) != 8:
+                    raise FieldFormatError(f"{path}: line {lineno}: expected 8 fields")
+                try:
+                    ii, jj, kk = int(toks[0]), int(toks[1]), int(toks[2])
+                    q = [float(tok) for tok in toks[3:]]
+                except ValueError as exc:
+                    raise FieldFormatError(f"{path}: line {lineno}: {exc}") from None
+                if (ii, jj, kk) != (i, j, k):
+                    raise FieldFormatError(
+                        f"{path}: line {lineno}: node index ({ii} {jj} {kk}) out of order, "
+                        f"expected ({i} {j} {k})"
+                    )
+                if not all(math.isfinite(v) for v in q):
+                    raise FieldFormatError(f"{path}: line {lineno}: non-finite value")
+                values[i, j, k] = q
+    return values

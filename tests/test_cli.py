@@ -272,6 +272,26 @@ def test_minimize_rejects_out_of_range_numbers(tmp_path, capsys, edit):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("tol = 0", "tol must be positive"),
+    ("max_iters = -1", "max_iters must be nonnegative"),
+    ("restarts = -1", "restarts must be nonnegative"),
+    ("seed = -1", "seed must be nonnegative"),
+    ("slack = -1", "slack must be nonnegative"),
+], ids=["tol", "max_iters", "restarts", "seed", "slack"])
+def test_minimize_rejects_out_of_range_solver_values(tmp_path, capsys, line, message):
+    # rejected while parsing, before any solve, with the line of the key
+    text = minimize_config(nx=5, extra="restarts = 1\n").replace("max_iters = 100000", "")
+    text += line + "\n"
+    lineno = text.splitlines().index(line) + 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc = cli.main(["--out", str(tmp_path), "minimize", "--config", str(cfg)])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: line {lineno}: {message}\n"
+    assert not (tmp_path / "solve_report.json").exists()
+
+
 @pytest.mark.parametrize("flag", ["--seed", "--slack"])
 def test_removed_global_overrides_are_usage_errors(tmp_path, flag):
     cfg = tmp_path / "run.cfg"

@@ -9,7 +9,9 @@ from ldgq import (
     make_biaxial,
     order_params,
 )
+from ldgq import moments
 from ldgq.moments import (
+    _nearest_nodes,
     audit_eigen_bounds,
     band_distribution,
     build_quadrature,
@@ -169,3 +171,138 @@ def test_load_density_csv(tmp_path):
     bad.write_text("theta,phi,value\n0.5,0.1,-2.0\n")
     with pytest.raises(NormalizationError):
         load_density_csv(bad, quad)
+
+
+def _loop_nearest(quad, theta, phi):
+    p = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    return int(np.argmax(quad.nodes @ p))
+
+
+def _per_sample_loop(path, quad):
+    """Node values of the sample-by-sample reader, or its error message."""
+    sums = np.zeros_like(quad.weights)
+    counts = np.zeros_like(quad.weights)
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            parts = [p.strip() for p in text.split(",")]
+            if len(parts) != 3:
+                return f"{path}: line {lineno}: expected 'theta,phi,value'"
+            try:
+                theta, phi, value = (float(p) for p in parts)
+            except ValueError:
+                if lineno == 1:
+                    continue
+                return f"{path}: line {lineno}: non-numeric row"
+            if value < 0.0:
+                return f"{path}: line {lineno}: negative density"
+            nearest = _loop_nearest(quad, theta, phi)
+            sums[nearest] += value
+            counts[nearest] += 1.0
+    if not counts.any():
+        return f"{path}: no density samples found"
+    return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+
+
+def _tie_samples(quad):
+    """(theta, phi) on every node and halfway between neighbouring nodes."""
+    n = quad.nodes
+    thetas = np.unique(np.arccos(n[:, 2]))
+    phis = np.unique(np.mod(np.arctan2(n[:, 1], n[:, 0]), 2.0 * np.pi))
+    ring = np.append(phis, phis[0] + 2.0 * np.pi)
+    samples = [(t, p) for t in thetas for p in phis]
+    samples += [(t, 0.5 * (a + b)) for t in thetas for a, b in zip(ring, ring[1:])]
+    samples += [(0.5 * (s + t), p) for s, t in zip(thetas, thetas[1:]) for p in phis]
+    return np.array(samples)
+
+
+def _assert_agrees_with_loop(path, quad):
+    expected = _per_sample_loop(path, quad)
+    if not isinstance(expected, str):
+        try:
+            expected = distribution_from_values(quad, expected).values
+        except NormalizationError as exc:
+            expected = str(exc)
+    try:
+        got = load_density_csv(path, quad).values
+    except NormalizationError as exc:
+        got = str(exc)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("level", [2, 7, 16])
+def test_nearest_nodes_match_the_per_sample_argmax_on_ties(level):
+    # at midpoints two nodes are equally near; each BLAS kernel rounds the
+    # dot products its own way, and the per-sample argmax must still win
+    quad = build_quadrature(level)
+    samples = _tie_samples(quad)
+    theta, phi = samples.T
+    sin_theta = np.sin(theta)
+    points = np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)], axis=1)
+    expected = [_loop_nearest(quad, t, p) for t, p in samples]
+    assert np.array_equal(_nearest_nodes(points, quad.nodes), expected)
+
+
+def test_load_density_csv_ties_agree_with_loop(tmp_path):
+    quad = build_quadrature(16)
+    samples = _tie_samples(quad)
+    rows = ["theta,phi,value"]
+    rows += [f"{t!r},{p!r},{1.0 + i / 7.0!r}" for i, (t, p) in enumerate(samples)]
+    path = tmp_path / "ties.csv"
+    path.write_text("\n".join(rows) + "\n")
+    _assert_agrees_with_loop(path, quad)
+
+
+@pytest.mark.parametrize("body", [
+    "theta,phi,value\n0.5,0.1,2.0\n1.2,2.0,0.5\n",
+    "0.5,0.1,2.0\n1.2,2.0,0.5\n",
+    "# angles in radians\n\n0.5,0.1,2.0\n   \n  # note\n1.2,2.0,0.5\n",
+    "theta , phi , value\n 0.5 , 0.1 ,2.0\n1.2,\t2.0 , 0.5\n",
+    "0.5,0.1,2.0 # inline\n1.2,2.0,0.5\n",
+    "theta,phi,value\n0.5,0.1,2.0 # inline\n",
+    "theta,phi,value\n0.5,0.1,-2.0\n",
+    "theta,phi,value\n0.5,0.1,2.0\n1.2,x,0.5\n",
+    "0.5,0.1,2.0\ntheta,phi,value\n",
+    "theta,phi\n0.5,0.1,2.0\n",
+    "theta,phi,value\n0.5,0.1\n",
+    "theta,phi,value\n0.5,0.1,2.0,3.0\n",
+    "theta,phi,value\n# only comments\n",
+    "",
+    "0.5,0.1,-0.0\n",
+    "0.5,0.1,1_0\n",
+    "0.5,0.1,nan\n",
+    "0.5,0.1,2.0\r\n1.2,2.0,0.5\r\n",
+])
+def test_load_density_csv_agrees_with_loop(tmp_path, body):
+    path = tmp_path / "density.csv"
+    path.write_bytes(body.encode())
+    _assert_agrees_with_loop(path, build_quadrature(4))
+
+
+def test_load_density_csv_error_lines(tmp_path):
+    quad = build_quadrature(4)
+    path = tmp_path / "density.csv"
+    path.write_text("theta,phi,value\n# c\n\n0.5,0.1,2.0\n0.5,0.1,-1.0\n")
+    with pytest.raises(NormalizationError, match=r": line 5: negative density$"):
+        load_density_csv(path, quad)
+    path.write_text("theta,phi,value\n0.5,0.1,2.0\n\n0.5,abc,1.0\n")
+    with pytest.raises(NormalizationError, match=r": line 4: non-numeric row$"):
+        load_density_csv(path, quad)
+
+
+def test_load_density_csv_parses_valid_files_in_one_pass(tmp_path, monkeypatch):
+    # header, comments, blank lines and spaces stay on the array parse
+    def line_reader(path, fh):
+        raise AssertionError("per-line reader called on a valid file")
+
+    monkeypatch.setattr(moments, "_read_sample_lines", line_reader)
+    path = tmp_path / "density.csv"
+    path.write_text("theta, phi, value\n# c\n\n 0.5 , 0.1 , 2.0\n  # d\n1.2,2.0,0.5\n")
+    quad = build_quadrature(4)
+    psi = load_density_csv(path, quad)
+    assert np.count_nonzero(psi.values) == 4  # two nodes and their antipodes

@@ -2,7 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import Z, mbba
 from ldgq import (
@@ -18,11 +19,14 @@ from ldgq import (
     stationary_scalars,
     uniaxial_coeffs,
 )
+from ldgq import solver
 from ldgq.solver import (
     Grid3,
     QField,
     SolverConfig,
     _face_mask,
+    _read_header,
+    _read_node_lines,
     _shifted_solver,
     discrete_energy,
     el_residual,
@@ -474,3 +478,102 @@ def test_field_file_roundtrip_and_rejections(tmp_path):
     bad.write_text("\n".join(small) + "\n")
     with pytest.raises(FieldFormatError):
         read_field(bad)
+
+
+def _line_reader(path):
+    """Values of the per-line LDGQ1 reader alone, or its error message."""
+    with open(path) as fh:
+        grid = _read_header(path, fh)
+        try:
+            return _read_node_lines(path, fh, grid)
+        except FieldFormatError as exc:
+            return str(exc)
+
+
+_MUTATIONS = (
+    "blank", "spaces", "index 1.0", "index +1", "index 1_0", "index 007", "value nan",
+    "value -inf", "value 1_0", "7 tokens", "9 tokens", "swap", "comment", "delete",
+)
+
+
+def _mutate(lines, kind, at, other):
+    """Apply one mutation to the body lines (header excluded) in place."""
+    at %= len(lines)
+    toks = lines[at].split()
+    if kind == "blank":
+        lines.insert(at, "")
+    elif kind == "spaces":
+        lines.insert(at, " \t ")
+    elif kind == "swap":
+        other %= len(lines)
+        lines[at], lines[other] = lines[other], lines[at]
+    elif kind == "comment":
+        lines[at] += " # x"
+    elif kind == "delete":
+        del lines[at]
+    elif toks:
+        if kind.startswith("index "):
+            toks[other % 3 % len(toks)] = kind[6:]
+        elif kind.startswith("value "):
+            toks[(3 + other % 5) % len(toks)] = kind[6:]
+        elif kind == "7 tokens":
+            del toks[-1]
+        else:
+            toks.append("0.5")
+        lines[at] = " ".join(toks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 40), st.integers(0, 40)),
+                max_size=3))
+def test_read_field_agrees_with_line_reader(tmp_path_factory, mutations):
+    # every mutated file is read to the line reader's values bit for bit, or
+    # rejected with the line reader's message
+    path = tmp_path_factory.mktemp("mutated") / "field.ldgq"
+    rng = np.random.default_rng(4)
+    write_field(path, QField(Grid3(3, 4, 3, 1.0, 0.5, 2.0), rng.standard_normal((3, 4, 3, 5))))
+    header, *body = path.read_text().splitlines()
+    for kind, at, other in mutations:
+        _mutate(body, kind, at, other)
+    path.write_text("\n".join([header] + body) + "\n")
+    expected = _line_reader(path)
+    try:
+        got = read_field(path).values
+    except FieldFormatError as exc:
+        assert str(exc) == expected
+    else:
+        assert not isinstance(expected, str), expected
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+_EXTREMES = np.resize(
+    [5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308, 0.0, -0.0,
+     1.79e308, -1.79e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0],
+    (3, 3, 3, 5),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrays(np.float64, (3, 3, 3, 5), elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(_EXTREMES)
+def test_field_file_roundtrip_is_bit_exact(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("roundtrip") / "field.ldgq"
+    write_field(path, QField(Grid3(3, 3, 3, 1.0, 1.0, 1.0), values))
+    back = read_field(path).values
+    assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+
+def test_read_field_parses_valid_files_in_one_pass(tmp_path, monkeypatch):
+    # blank lines, signed and zero-padded indices and CRLF stay on the array parse
+    def line_reader(path, fh, grid):
+        raise AssertionError("per-line reader called on a valid file")
+
+    monkeypatch.setattr(solver, "_read_node_lines", line_reader)
+    path = tmp_path / "field.ldgq"
+    values = np.random.default_rng(2).standard_normal((3, 3, 3, 5))
+    write_field(path, QField(Grid3(3, 3, 3, 1.0, 1.0, 1.0), values))
+    lines = path.read_text().splitlines()
+    lines[1:1] = ["", " \t "]
+    lines[4] = "+0 00 +1" + lines[4][5:]
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    assert np.array_equal(read_field(path).values, values)
