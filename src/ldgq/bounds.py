@@ -9,7 +9,7 @@ physical triangle is the eta = 1 member of the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -19,9 +19,11 @@ from .bulk import (
     Polynomial,
     Quartic,
     a_of_temperature,
-    bulk_triangle,
+    bulk_triangle_scale,
     gl_bound,
+    nematic_root,
     poly_bound_C,
+    stationary_columns,
 )
 from .errors import RegimeError
 
@@ -30,9 +32,11 @@ if TYPE_CHECKING:
 
 __all__ = [
     "TriangleReport",
+    "TriangleColumns",
     "BoundAudit",
     "triangle_scale",
     "elastic_bound_gamma",
+    "triangle_columns",
     "triangle_report",
     "audit_field",
 ]
@@ -45,20 +49,25 @@ def triangle_scale(s: float, r: float) -> float:
     return max(s + r, r - 2.0 * s, s - 2.0 * r)
 
 
+def _gamma(m: Material, a) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma per entry of ``a``, NaN outside the nematic regime, and the regime mask."""
+    root, nematic = nematic_root(m, a)
+    return (m.b + root) / (2.0 * SQRT6 * m.c), nematic
+
+
 def elastic_bound_gamma(m: Material, t: float) -> float:
     """Norm bound (b + sqrt(b^2 - 24 a c)) / (2 sqrt(6) c) for global minimizers.
 
-    Valid in the regime a <= b^2 / 24c where the nematic stationary points
+    Valid in the regime b^2 - 24 a c >= 0 where the nematic stationary points
     exist; equals sqrt(2/3) * s_plus. Outside the regime the boundary-maximum
     audit applies instead and a RegimeError is raised.
     """
-    a = a_of_temperature(m, t)
-    disc = m.b * m.b - 24.0 * a * m.c
-    if disc < 0.0:
+    gamma, nematic = _gamma(m, a_of_temperature(m, t))
+    if not nematic:
         raise RegimeError(
             "norm bound undefined for a > b^2/24c; use the high-temperature audit"
         )
-    return (m.b + np.sqrt(disc)) / (2.0 * SQRT6 * m.c)
+    return float(gamma)
 
 
 @dataclass(frozen=True)
@@ -82,33 +91,73 @@ class TriangleReport:
     crossing_temps: tuple[float, float]
 
 
+class TriangleColumns(NamedTuple):
+    """The triangle reports of a temperature sweep, one entry per temperature.
+
+    ``bulk_scale``, ``gamma`` and ``elastic_scale`` (sqrt(6) gamma) are NaN
+    where ``nematic`` is False; there the bulk triangle is the origin alone.
+    ``crossing_temps`` is the same for every temperature.
+    """
+
+    t: np.ndarray
+    nematic: np.ndarray
+    bulk_scale: np.ndarray
+    gamma: np.ndarray
+    elastic_scale: np.ndarray
+    t_psi_contains_elastic: np.ndarray
+    elastic_contains_t_psi: np.ndarray
+    crossing_temps: tuple[float, float]
+
+
 def _triangle_vertices(eta: float) -> tuple[tuple[float, float], ...]:
     return ((eta, 0.0), (0.0, eta), (-eta, -eta))
 
 
+def triangle_columns(m: Material, t) -> TriangleColumns:
+    """Compare the elastic triangle against the physical one at each temperature of ``t``.
+
+    Raises RegimeError naming the first temperature that ``bulk_triangle_scale``
+    rejects.
+    """
+    col = stationary_columns(m, t)
+    bulk_scale = bulk_triangle_scale(m, col)
+    gamma, nematic = _gamma(m, col.a)
+    elastic_scale = SQRT6 * gamma
+    return TriangleColumns(
+        t=col.t,
+        nematic=nematic,
+        bulk_scale=bulk_scale,
+        gamma=gamma,
+        elastic_scale=elastic_scale,
+        # a degenerate elastic triangle lies inside the physical one
+        t_psi_contains_elastic=~nematic | (elastic_scale <= 1.0),
+        elastic_contains_t_psi=nematic & (np.sqrt(1.5) * gamma >= 1.0),
+        crossing_temps=(
+            m.t_star + (m.b - 2.0 * m.c) / (3.0 * m.alpha),
+            m.t_star + (m.b - m.c) / (6.0 * m.alpha),
+        ),
+    )
+
+
 def triangle_report(m: Material, t: float) -> TriangleReport:
     """Compare the elastic triangle against the physical one at temperature t."""
-    a = a_of_temperature(m, t)
-    lower = m.t_star + (m.b - 2.0 * m.c) / (3.0 * m.alpha)
-    upper = m.t_star + (m.b - m.c) / (6.0 * m.alpha)
-    if a > m.b * m.b / (24.0 * m.c):
+    col = triangle_columns(m, t)
+    if col.nematic:
+        bulk_vertices = _triangle_vertices(float(col.bulk_scale))
+        gamma = float(col.gamma)
+        elastic_vertices = _triangle_vertices(float(col.elastic_scale))
+    else:
+        bulk_vertices = ((0.0, 0.0),)
         gamma = None
         elastic_vertices = None
-        contains = True
-        contained_in = False
-    else:
-        gamma = elastic_bound_gamma(m, t)
-        elastic_vertices = _triangle_vertices(SQRT6 * gamma)
-        contains = SQRT6 * gamma <= 1.0
-        contained_in = np.sqrt(1.5) * gamma >= 1.0
     return TriangleReport(
         temperature=t,
-        bulk_vertices=tuple(bulk_triangle(m, t)),
+        bulk_vertices=bulk_vertices,
         elastic_vertices=elastic_vertices,
         gamma=gamma,
-        t_psi_contains_elastic=bool(contains),
-        elastic_contains_t_psi=bool(contained_in),
-        crossing_temps=(lower, upper),
+        t_psi_contains_elastic=bool(col.t_psi_contains_elastic),
+        elastic_contains_t_psi=bool(col.elastic_contains_t_psi),
+        crossing_temps=col.crossing_temps,
     )
 
 
@@ -160,7 +209,6 @@ def audit_field(
     max_boundary = float(norms[field.boundary_mask].max())
     inv_sqrt6 = 1.0 / SQRT6
 
-    a = a_of_temperature(m, t)
     if isinstance(fun, GLPenalized):
         regime = "GL"
         bound = max(gl_bound(m, t, fun.eps), max_boundary)
@@ -170,10 +218,10 @@ def audit_field(
         bound = max(poly_bound_C(fun), max_boundary)
         hypothesis = max_boundary < inv_sqrt6
     elif isinstance(fun, Quartic):
-        if a <= m.b * m.b / (24.0 * m.c):
+        gamma, nematic = _gamma(m, a_of_temperature(m, t))
+        if nematic:
             regime = "LowTemp"
-            gamma = elastic_bound_gamma(m, t)
-            bound = gamma
+            bound = float(gamma)
             hypothesis = max_boundary < min(0.5 * gamma, inv_sqrt6)
         else:
             regime = "HighTemp"

@@ -10,7 +10,7 @@ over leading array axes so a whole lattice evaluates in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,12 +24,16 @@ __all__ = [
     "Polynomial",
     "GLPenalized",
     "StationaryReport",
+    "StationaryColumns",
     "CharacteristicTemperatures",
     "a_of_temperature",
     "f_bulk",
     "bulk_gradient",
+    "nematic_root",
+    "stationary_columns",
     "stationary_scalars",
     "characteristic_temperatures",
+    "bulk_triangle_scale",
     "bulk_triangle",
     "poly_bound_C",
     "gl_bound",
@@ -213,7 +217,7 @@ class StationaryReport:
     """Stationary points of the quartic density along uniaxial states.
 
     Besides s = 0 there are s_plus and s_minus = (b +- sqrt(b^2 - 24 a c)) / 4c
-    whenever a <= b^2 / 24c; their densities follow f(s) = s^2 (9a - b s) / 54.
+    whenever b^2 - 24 a c >= 0; their densities follow f(s) = s^2 (9a - b s) / 54.
     The nematic branch is the global minimum exactly when f_at_plus < 0.
     """
 
@@ -225,28 +229,64 @@ class StationaryReport:
     global_min_is_nematic: bool
 
 
-def _f_uniaxial_stationary(a: float, b: float, s: float) -> float:
+class StationaryColumns(NamedTuple):
+    """Uniaxial stationary points of the quartic density, one entry per temperature.
+
+    ``nematic`` marks where s_plus and s_minus exist, b^2 - 24 a c >= 0; the
+    four nematic columns hold NaN elsewhere.
+    """
+
+    t: np.ndarray
+    a: np.ndarray
+    nematic: np.ndarray
+    s_plus: np.ndarray
+    s_minus: np.ndarray
+    f_plus: np.ndarray
+    f_minus: np.ndarray
+    global_min_is_nematic: np.ndarray
+
+
+def _f_uniaxial_stationary(a, b: float, s):
     return s * s * (9.0 * a - b * s) / 54.0
 
 
-def stationary_scalars(m: Material, t: float) -> StationaryReport:
-    """Uniaxial stationary points of the quartic bulk density at temperature t."""
-    a = a_of_temperature(m, t)
+def nematic_root(m: Material, a) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(b^2 - 24 a c) per entry of ``a`` and the mask where the radicand is not negative.
+
+    The root is NaN where the radicand is negative. This mask is the one test
+    for the nematic branch: the stationary points, the bulk and elastic
+    triangles and the audits all use it. A NaN radicand (overflowing
+    constants) does not count as negative.
+    """
     disc = m.b * m.b - 24.0 * a * m.c
-    if disc < 0.0:
-        return StationaryReport(0.0, None, None, None, None, False)
-    root = np.sqrt(disc)
+    nematic = np.logical_not(disc < 0.0)
+    return np.sqrt(np.where(nematic, disc, np.nan)), nematic
+
+
+def stationary_columns(m: Material, t) -> StationaryColumns:
+    """Uniaxial stationary points of the quartic bulk density at each temperature of ``t``."""
+    t = np.asarray(t)
+    a = a_of_temperature(m, t)
+    root, nematic = nematic_root(m, a)
     s_plus = (m.b + root) / (4.0 * m.c)
     s_minus = (m.b - root) / (4.0 * m.c)
     f_plus = _f_uniaxial_stationary(a, m.b, s_plus)
     f_minus = _f_uniaxial_stationary(a, m.b, s_minus)
+    return StationaryColumns(t, a, nematic, s_plus, s_minus, f_plus, f_minus, f_plus < 0.0)
+
+
+def stationary_scalars(m: Material, t: float) -> StationaryReport:
+    """Uniaxial stationary points of the quartic bulk density at temperature t."""
+    col = stationary_columns(m, t)
+    if not col.nematic:
+        return StationaryReport(0.0, None, None, None, None, False)
     return StationaryReport(
         s_zero_value=0.0,
-        s_plus=float(s_plus),
-        s_minus=float(s_minus),
-        f_at_plus=float(f_plus),
-        f_at_minus=float(f_minus),
-        global_min_is_nematic=bool(f_plus < 0.0),
+        s_plus=float(col.s_plus),
+        s_minus=float(col.s_minus),
+        f_at_plus=float(col.f_plus),
+        f_at_minus=float(col.f_minus),
+        global_min_is_nematic=bool(col.global_min_is_nematic),
     )
 
 
@@ -279,26 +319,34 @@ def characteristic_temperatures(m: Material) -> CharacteristicTemperatures:
     )
 
 
+def bulk_triangle_scale(m: Material, col: StationaryColumns) -> np.ndarray:
+    """Scale of the bulk triangle at each temperature of the stationary columns.
+
+    In the deeply ordered regime a < -b^2/3c the vertices scale with
+    2|s_minus|, otherwise with s_plus; NaN where the nematic branch does not
+    exist. Temperatures with a < -alpha*t_star (below the absolute-zero
+    equivalent of the linear law) are rejected, naming the first one.
+    """
+    cold = np.flatnonzero(col.a < -m.alpha * m.t_star)
+    if cold.size:
+        raise RegimeError(
+            f"temperature {col.t.flat[cold[0]].item()} lies below the absolute-zero "
+            "equivalent of the linear law"
+        )
+    return np.where(col.a >= -m.b * m.b / (3.0 * m.c), col.s_plus, 2.0 * np.abs(col.s_minus))
+
+
 def bulk_triangle(m: Material, t: float) -> list[tuple[float, float]]:
     """Vertices of the convex hull of the bulk stationary points in the (s, r) plane.
 
-    Above the superheating temperature the hull collapses to the origin; in
-    the deeply ordered regime a < -b^2/3c the vertices scale with 2|s_minus|,
-    otherwise with s_plus. Temperatures with a < -alpha*t_star (below the
-    absolute-zero equivalent of the linear law) are rejected.
+    Where the nematic branch does not exist (above superheating) the hull
+    collapses to the origin; see ``bulk_triangle_scale`` for the scale and the
+    rejected temperatures.
     """
-    a = a_of_temperature(m, t)
-    if a < -m.alpha * m.t_star:
-        raise RegimeError(
-            f"temperature {t} lies below the absolute-zero equivalent of the linear law"
-        )
-    if a > m.b * m.b / (24.0 * m.c):
+    col = stationary_columns(m, t)
+    scale = float(bulk_triangle_scale(m, col))
+    if not col.nematic:
         return [(0.0, 0.0)]
-    rep = stationary_scalars(m, t)
-    if a >= -m.b * m.b / (3.0 * m.c):
-        scale = rep.s_plus
-    else:
-        scale = 2.0 * abs(rep.s_minus)
     return [(scale, 0.0), (0.0, scale), (-scale, -scale)]
 
 

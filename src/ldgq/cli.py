@@ -354,14 +354,14 @@ def boundary_values(grid: solver.Grid3, spec: BoundarySpec) -> np.ndarray:
     return values
 
 
-def _temperatures(cfg: RunConfig) -> list[float]:
+def _temperatures(cfg: RunConfig) -> np.ndarray:
     if cfg.temperature is not None:
-        return [cfg.temperature]
+        return np.array([cfg.temperature])
     if cfg.sweep is not None:
         start, stop, step = cfg.sweep
         # relative bump so a stop that lands on the grid is included
         n = int(np.floor((stop - start) / step * (1.0 + 1e-12) + 1e-9)) + 1
-        return [start + i * step for i in range(max(n, 0))]
+        return start + np.arange(max(n, 0)) * step
     raise ConfigError("this command needs a [temperature] block")
 
 
@@ -380,40 +380,90 @@ def _dump_json(path: Path, obj) -> str:
     return text
 
 
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else repr(float(x))
-
-
 def cmd_phase(cfg: RunConfig, out_dir: Path) -> int:
     """Stationary-point sweep: one CSV row per temperature."""
     _require(cfg, "material")
-    m = cfg.material
+    col = bulk.stationary_columns(cfg.material, _temperatures(cfg))
     rows = ["T,a,s_plus,s_minus,f_plus,f_minus,regime"]
-    for t in _temperatures(cfg):
-        a = bulk.a_of_temperature(m, t)
-        rep = bulk.stationary_scalars(m, t)
-        if rep.s_plus is None:
-            regime = "isotropic-only"
-        elif rep.global_min_is_nematic:
-            regime = "below-NI"
-        else:
-            regime = "metastable"
-        rows.append(
-            f"{_fmt(t)},{_fmt(a)},{_fmt(rep.s_plus)},{_fmt(rep.s_minus)},"
-            f"{_fmt(rep.f_at_plus)},{_fmt(rep.f_at_minus)},{regime}"
-        )
+    rows += [
+        f"{t!r},{a!r},{sp!r},{sm!r},{fp!r},{fm!r},{'below-NI' if below_ni else 'metastable'}"
+        if nematic else f"{t!r},{a!r},,,,,isotropic-only"
+        for t, a, nematic, sp, sm, fp, fm, below_ni in zip(*(c.tolist() for c in col))
+    ]
     path = out_dir / "phase.csv"
     path.write_text("\n".join(rows) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 
 
+def _json_texts(values: list) -> list[str]:
+    """The JSON text of each number or bool in ``values``, as ``json.dumps`` writes it."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+# The JSON of one TriangleReport as _dump_json lays it out inside the list of
+# reports (sort_keys, indent=2): its vertex lists, then the whole report.
+def _vertices_json(eta: str, minus_eta: str) -> str:
+    return f"""[
+      [
+        {eta},
+        0.0
+      ],
+      [
+        0.0,
+        {eta}
+      ],
+      [
+        {minus_eta},
+        {minus_eta}
+      ]
+    ]"""
+
+
+_ORIGIN_JSON = """[
+      [
+        0.0,
+        0.0
+      ]
+    ]"""
+
+
+def _report_json(t, bulk_vertices, crossing, contains_t_psi, elastic_vertices, gamma,
+                 in_t_psi) -> str:
+    return f"""  {{
+    "bulk_vertices": {bulk_vertices},
+    "crossing_temps": [
+      {crossing[0]},
+      {crossing[1]}
+    ],
+    "elastic_contains_t_psi": {contains_t_psi},
+    "elastic_vertices": {elastic_vertices},
+    "gamma": {gamma},
+    "t_psi_contains_elastic": {in_t_psi},
+    "temperature": {t}
+  }}"""
+
+
 def cmd_triangles(cfg: RunConfig, out_dir: Path) -> int:
     """Triangle report per temperature, serialized to JSON."""
     _require(cfg, "material")
-    reports = [bounds.triangle_report(cfg.material, t) for t in _temperatures(cfg)]
+    col = bounds.triangle_columns(cfg.material, _temperatures(cfg))
+    crossing = _json_texts(list(col.crossing_temps))
+    texts = (
+        _json_texts(c.tolist())
+        for c in (col.t, col.bulk_scale, -col.bulk_scale, col.gamma, col.elastic_scale,
+                  -col.elastic_scale, col.t_psi_contains_elastic, col.elastic_contains_t_psi)
+    )
+    reports = [
+        _report_json(t, _vertices_json(s, minus_s), crossing, contains_t_psi,
+                     _vertices_json(eta, minus_eta), gamma, in_t_psi)
+        if nematic else
+        _report_json(t, _ORIGIN_JSON, crossing, contains_t_psi, "null", "null", in_t_psi)
+        for nematic, t, s, minus_s, gamma, eta, minus_eta, in_t_psi, contains_t_psi
+        in zip(col.nematic.tolist(), *texts)
+    ]
     path = out_dir / "triangles.json"
-    _dump_json(path, reports)
+    path.write_text("[\n" + ",\n".join(reports) + "\n]\n" if reports else "[]\n")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -434,7 +484,7 @@ def cmd_minimize(cfg: RunConfig, out_dir: Path) -> int:
     temps = _temperatures(cfg)
     if len(temps) != 1:
         raise ConfigError("minimize needs a single temperature, not a sweep")
-    t = temps[0]
+    t = float(temps[0])
     fun = build_functional(cfg, t)
     sblock = cfg.solver
     scfg = solver.SolverConfig(
@@ -487,7 +537,7 @@ def cmd_verify(field_path: str, cfg: RunConfig, out_dir: Path) -> int:
     temps = _temperatures(cfg)
     if len(temps) != 1:
         raise ConfigError("verify needs a single temperature, not a sweep")
-    t = temps[0]
+    t = float(temps[0])
     fun = build_functional(cfg, t)
     field = solver.read_field(field_path)
     audit = bounds.audit_field(field, fun, cfg.material, t, slack=cfg.solver.slack)

@@ -9,6 +9,7 @@ up to roundoff, regardless of quadrature resolution.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -172,11 +173,13 @@ def load_density_csv(path, quad: SphericalQuadrature) -> Distribution:
 
     Multiple samples landing on one node are averaged; nodes without samples
     get zero. Blank lines, comment lines starting with '#', and a header line
-    of column names are skipped. Negative values are rejected.
+    of column names are skipped. Negative values and angles that are not
+    finite are rejected.
 
     The rows are parsed in one ``np.loadtxt`` call. Only a file that parse
-    rejects, or that holds a negative value, goes through the per-line reader,
-    which accepts or rejects it and names the offending line.
+    rejects, or that holds a negative value or a non-finite angle, goes
+    through the per-line reader, which accepts or rejects it and names the
+    offending line.
     """
     with open(path) as fh:
         try:
@@ -185,7 +188,8 @@ def load_density_csv(path, quad: SphericalQuadrature) -> Distribution:
                 rows = np.loadtxt(_data_lines(fh), delimiter=",", comments=None, ndmin=2)
         except (ValueError, Warning):
             rows = None
-        if rows is None or rows.shape[1] != 3 or (rows[:, 2] < 0.0).any():
+        if (rows is None or rows.shape[1] != 3 or (rows[:, 2] < 0.0).any()
+                or not np.isfinite(rows[:, :2]).all()):
             fh.seek(0)
             rows = _read_sample_lines(path, fh)
     if not len(rows):
@@ -244,6 +248,8 @@ def _read_sample_lines(path, fh) -> np.ndarray:
             ) from None
         if value < 0.0:
             raise NormalizationError(f"{path}: line {lineno}: negative density")
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise NormalizationError(f"{path}: line {lineno}: non-finite angle")
         rows.append((theta, phi, value))
     return np.array(rows, dtype=float).reshape(-1, 3)
 

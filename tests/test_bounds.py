@@ -4,9 +4,11 @@ import pytest
 from conftest import Z, mbba, mbba_quartic_as_polynomial
 from ldgq import (
     GLPenalized,
+    Material,
     Quartic,
     RegimeError,
     audit_field,
+    bulk_triangle,
     characteristic_temperatures,
     elastic_bound_gamma,
     gl_bound,
@@ -168,3 +170,34 @@ def test_audit_regimes_polynomial_and_gl():
     assert audit.regime == "GL"
     assert audit.bound_value == pytest.approx(gl_bound(m, t, 0.1), rel=1e-14)
     assert audit.hypothesis_met  # |Q0| = 0.3 < 1/sqrt(6)
+
+
+# b^2 - 24ac < 0 and a > b^2/24c disagree in the last bit at these points:
+# the first is on the isotropic side of the discriminant, the second on the
+# nematic side (there s_plus = s_minus).
+ULP_EDGE_CASES = [
+    (Material(alpha=0.10177217965864147, b=7.214315690817775, c=6.554628592248281,
+              t_star=123.26021659785275, elastic_l=1.0), 126.5111036412607, False),
+    (Material(alpha=0.27444987193445824, b=8.90807066860678, c=0.8802236004565646,
+              t_star=103.45701229832862, elastic_l=1.0), 117.1437525276159, True),
+]
+
+
+@pytest.mark.parametrize("m, t, nematic", ULP_EDGE_CASES)
+def test_one_superheating_test_everywhere(m, t, nematic):
+    rep = stationary_scalars(m, t)
+    tri = triangle_report(m, t)
+    verts = bulk_triangle(m, t)
+    audit = audit_field(_constant_field(Grid3(3, 3, 3, 1.0, 1.0, 1.0), 0.0), Quartic(m, t), m, t)
+    assert (rep.s_plus is not None) is nematic
+    assert (tri.gamma is not None) is nematic
+    assert audit.regime == ("LowTemp" if nematic else "HighTemp")
+    if nematic:
+        assert verts == [(rep.s_plus, 0.0), (0.0, rep.s_plus), (-rep.s_plus, -rep.s_plus)]
+        assert tri.bulk_vertices == tuple(verts)
+        assert elastic_bound_gamma(m, t) == tri.gamma == audit.bound_value
+    else:
+        assert verts == [(0.0, 0.0)]
+        assert tri.bulk_vertices == ((0.0, 0.0),) and tri.elastic_vertices is None
+        with pytest.raises(RegimeError, match="norm bound undefined"):
+            elastic_bound_gamma(m, t)

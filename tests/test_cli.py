@@ -1,7 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ldgq import cli
 from ldgq.bounds import BoundAudit
@@ -14,7 +16,8 @@ from ldgq.cli import (
     parse_config,
     serialize_config,
 )
-from ldgq.errors import ConfigError
+from ldgq.bulk import Material, characteristic_temperatures
+from ldgq.errors import ConfigError, RegimeError
 from ldgq.solver import Grid3, QField, read_field, write_field
 from ldgq import stationary_scalars, uniaxial_coeffs
 
@@ -385,3 +388,146 @@ def test_dump_json_exact_text(tmp_path):
     assert path.read_text() == expected
     with pytest.raises(TypeError):
         cli._dump_json(tmp_path / "bad.json", {"x": object()})
+
+
+# The sweep writers before they worked on columns: one scalar evaluation and
+# one formatted row or report per temperature. The only change from that code
+# is the nematic test, b^2 - 24ac < 0 everywhere.
+def _oracle_temperatures(start, stop, step):
+    n = int(np.floor((stop - start) / step * (1.0 + 1e-12) + 1e-9)) + 1
+    return [start + i * step for i in range(max(n, 0))]
+
+
+def _oracle_stationary(m, t):
+    a = m.alpha * (t - m.t_star)
+    disc = m.b * m.b - 24.0 * a * m.c
+    if disc < 0.0:
+        return a, None
+    root = np.sqrt(disc)
+    s_plus = (m.b + root) / (4.0 * m.c)
+    s_minus = (m.b - root) / (4.0 * m.c)
+    f_plus = s_plus * s_plus * (9.0 * a - m.b * s_plus) / 54.0
+    f_minus = s_minus * s_minus * (9.0 * a - m.b * s_minus) / 54.0
+    return a, (float(s_plus), float(s_minus), float(f_plus), float(f_minus))
+
+
+def _oracle_phase_csv(m, temps):
+    def fmt(x):
+        return "" if x is None else repr(float(x))
+
+    rows = ["T,a,s_plus,s_minus,f_plus,f_minus,regime"]
+    for t in temps:
+        a, rep = _oracle_stationary(m, t)
+        if rep is None:
+            regime, rep = "isotropic-only", (None,) * 4
+        elif rep[2] < 0.0:
+            regime = "below-NI"
+        else:
+            regime = "metastable"
+        rows.append(",".join([fmt(t), fmt(a), *map(fmt, rep), regime]))
+    return "\n".join(rows) + "\n"
+
+
+def _oracle_triangle_report(m, t):
+    sqrt6 = np.sqrt(6.0)
+    a, rep = _oracle_stationary(m, t)
+    lower = m.t_star + (m.b - 2.0 * m.c) / (3.0 * m.alpha)
+    upper = m.t_star + (m.b - m.c) / (6.0 * m.alpha)
+    if rep is None:
+        gamma, elastic_vertices, contains, contained_in = None, None, True, False
+    else:
+        gamma = (m.b + np.sqrt(m.b * m.b - 24.0 * a * m.c)) / (2.0 * sqrt6 * m.c)
+        eta = sqrt6 * gamma
+        elastic_vertices = ((eta, 0.0), (0.0, eta), (-eta, -eta))
+        contains = sqrt6 * gamma <= 1.0
+        contained_in = np.sqrt(1.5) * gamma >= 1.0
+    if a < -m.alpha * m.t_star:
+        raise RegimeError(
+            f"temperature {t} lies below the absolute-zero equivalent of the linear law"
+        )
+    if rep is None:
+        bulk_vertices = [(0.0, 0.0)]
+    else:
+        scale = rep[0] if a >= -m.b * m.b / (3.0 * m.c) else 2.0 * abs(rep[1])
+        bulk_vertices = [(scale, 0.0), (0.0, scale), (-scale, -scale)]
+    return {
+        "temperature": t,
+        "bulk_vertices": tuple(bulk_vertices),
+        "elastic_vertices": elastic_vertices,
+        "gamma": gamma,
+        "t_psi_contains_elastic": bool(contains),
+        "elastic_contains_t_psi": bool(contained_in),
+        "crossing_temps": (lower, upper),
+    }
+
+
+def _oracle_triangles_json(m, temps):
+    reports = [_oracle_triangle_report(m, t) for t in temps]
+    return json.dumps(reports, sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def _materials_and_sweeps(draw):
+    """A material and a sweep: random, or a few ulps around a regime edge."""
+    alpha = draw(st.one_of(st.floats(1e-3, 10.0), st.sampled_from([1e-300, 5e-324])))
+    m = Material(alpha=alpha, b=draw(st.floats(0.1, 20.0)), c=draw(st.floats(0.1, 20.0)),
+                 t_star=draw(st.floats(-50.0, 200.0)), elastic_l=1.0)
+    ct = characteristic_temperatures(m)
+    edges = {
+        "superheat": ct.t_superheat,
+        "t_ni": ct.t_ni,
+        "deep-ordered switch": m.t_star - m.b * m.b / (3.0 * m.c) / m.alpha,
+    }
+    edge = draw(st.sampled_from(["random", *edges]))
+    if edge == "random" or not np.isfinite(edges[edge]):
+        start = draw(st.floats(m.t_star - 80.0, m.t_star + 80.0))
+        step = draw(st.floats(1e-3, 5.0))
+        return m, (start, start + draw(st.integers(-1, 40)) * step, step)
+    ulp = abs(float(np.spacing(edges[edge])))
+    k = draw(st.integers(1, 6))
+    return m, (edges[edge] - k * ulp, edges[edge] + k * ulp, ulp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_materials_and_sweeps())
+# MBBA through the transition, and a subnormal alpha whose crossing
+# temperatures overflow to +-inf
+@example((Material(0.42, 6.4, 3.5, 45.0, 1.0), (30.0, 47.0, 0.25)))
+@example((Material(5e-324, 6.4, 3.5, 45.0, 1.0), (40.0, 50.0, 0.5)))
+@example((Material(5e-324, 7.0, 3.5, 45.0, 1.0), (40.0, 50.0, 0.5)))
+def test_sweep_writers_match_the_per_temperature_oracle(tmp_path_factory, material_and_sweep):
+    m, sweep = material_and_sweep
+    out = tmp_path_factory.mktemp("sweep")
+    cfg = cli.RunConfig(material=m, sweep=sweep)
+    temps = _oracle_temperatures(*sweep)
+    assert cli.cmd_phase(cfg, out) == EXIT_OK
+    assert (out / "phase.csv").read_text() == _oracle_phase_csv(m, temps)
+    try:
+        expected = _oracle_triangles_json(m, temps)
+    except RegimeError as exc:
+        with pytest.raises(RegimeError, match=f"^{re.escape(str(exc))}$"):
+            cli.cmd_triangles(cfg, out)
+    else:
+        assert cli.cmd_triangles(cfg, out) == EXIT_OK
+        assert (out / "triangles.json").read_text() == expected
+
+
+def test_sweeps_and_verify_agree_at_the_superheating_edge(tmp_path):
+    # b^2 - 24ac < 0 here while a <= b^2/24c: every command must take the
+    # isotropic side (triangles and verify used to exit 2 on this material)
+    material = (
+        "[material]\nalpha = 0.10177217965864147\nb = 7.214315690817775\n"
+        "c = 6.554628592248281\nt_star = 123.26021659785275\nelastic_l = 1.0\n"
+        "[temperature]\nvalue = 126.5111036412607\n"
+    )
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(material)
+    out = ["--out", str(tmp_path)]
+    assert cli.main(out + ["phase", "--config", str(cfg)]) == EXIT_OK
+    assert (tmp_path / "phase.csv").read_text().splitlines()[1].endswith(",,,,,isotropic-only")
+    assert cli.main(out + ["triangles", "--config", str(cfg)]) == EXIT_OK
+    (report,) = json.loads((tmp_path / "triangles.json").read_text())
+    assert report["gamma"] is None and report["bulk_vertices"] == [[0.0, 0.0]]
+    write_field(tmp_path / "zero.ldgq", QField.constant(Grid3(3, 3, 3, 1.0, 1.0, 1.0), np.zeros(5)))
+    assert cli.main(out + ["verify", str(tmp_path / "zero.ldgq"), "--config", str(cfg)]) == EXIT_OK
+    assert json.loads((tmp_path / "verify_audit.json").read_text())["regime"] == "HighTemp"

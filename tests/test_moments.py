@@ -198,6 +198,8 @@ def _per_sample_loop(path, quad):
                 return f"{path}: line {lineno}: non-numeric row"
             if value < 0.0:
                 return f"{path}: line {lineno}: negative density"
+            if not (np.isfinite(theta) and np.isfinite(phi)):
+                return f"{path}: line {lineno}: non-finite angle"
             nearest = _loop_nearest(quad, theta, phi)
             sums[nearest] += value
             counts[nearest] += 1.0
@@ -276,6 +278,10 @@ def test_load_density_csv_ties_agree_with_loop(tmp_path):
     "0.5,0.1,-0.0\n",
     "0.5,0.1,1_0\n",
     "0.5,0.1,nan\n",
+    "theta,phi,value\nnan,0.1,2.0\n0.5,0.1,1.0\n",
+    "0.5,0.1,2.0\n0.5,NaN,1.0\n",
+    "0.5,inf,1.0\n",
+    "theta,phi,value\n0.5,0.1,2.0\n-inf,0.1,1.0\n",
     "0.5,0.1,2.0\r\n1.2,2.0,0.5\r\n",
 ])
 def test_load_density_csv_agrees_with_loop(tmp_path, body):
@@ -292,6 +298,9 @@ def test_load_density_csv_error_lines(tmp_path):
         load_density_csv(path, quad)
     path.write_text("theta,phi,value\n0.5,0.1,2.0\n\n0.5,abc,1.0\n")
     with pytest.raises(NormalizationError, match=r": line 4: non-numeric row$"):
+        load_density_csv(path, quad)
+    path.write_text("theta,phi,value\n0.5,0.1,2.0\n\nnan,0.1,1.0\n")
+    with pytest.raises(NormalizationError, match=r": line 4: non-finite angle$"):
         load_density_csv(path, quad)
 
 
