@@ -2,7 +2,7 @@
 stored-field audits, and moment oracles.
 
 Configuration is a flat key-value text format with [section] headers; see
-``parse_config`` for the accepted sections and keys. All outputs are written
+``_SCHEMA`` for the accepted sections and keys. All outputs are written
 under the --out directory (or $LDGQ_OUT) as plot-ready CSV/JSON, formatted
 deterministically so repeat runs with a fixed seed are byte-identical.
 """
@@ -29,8 +29,6 @@ EXIT_PARSE = 2
 EXIT_DIVERGENCE = 3
 EXIT_AUDIT = 4
 EXIT_HYPOTHESIS = 5
-
-_KNOWN_SECTIONS = {"material", "temperature", "functional", "grid", "boundary", "solver"}
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,87 @@ class RunConfig:
     solver: SolverBlock = SolverBlock()
 
 
-def _parse_sections(text: str) -> dict[str, list[tuple[int, str, str]]]:
-    sections: dict[str, list[tuple[int, str, str]]] = {}
+def _number(cast, rule: str = ""):
+    """Reader of one number, finite if a float; ``rule`` is '', 'positive' or 'nonnegative'."""
+    def read(key: str, value: str, lineno: int):
+        try:
+            x = cast(value)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: non-numeric value '{value}'") from None
+        if cast is float and not math.isfinite(x):
+            raise ConfigError(f"line {lineno}: non-finite value '{value}'")
+        if (rule == "positive" and not x > 0) or (rule == "nonnegative" and x < 0):
+            raise ConfigError(f"line {lineno}: {key} must be {rule}")
+        return x
+    return read
+
+
+def _choice(noun: str, *options: str):
+    def read(key: str, value: str, lineno: int) -> str:
+        if value not in options:
+            raise ConfigError(f"line {lineno}: unknown {noun} '{value}'")
+        return value
+    return read
+
+
+def _vector(key: str, value: str, lineno: int) -> tuple[float, ...]:
+    parts = value.split()
+    if len(parts) != 3:
+        raise ConfigError(f"line {lineno}: expected 3 numbers, got {len(parts)}")
+    return tuple(_FLOAT(key, p, lineno) for p in parts)
+
+
+def _term(key: str, value: str, lineno: int) -> tuple[int, int, float]:
+    """One 'term = m p coeff' line; the key repeats, and the terms are kept as a list."""
+    m, p, co = _vector(key, value, lineno)
+    if m != int(m) or p != int(p):
+        raise ConfigError(f"line {lineno}: term exponents must be integers")
+    return int(m), int(p), co
+
+
+_FLOAT = _number(float)
+_SWEEP = ("start", "stop", "step")
+_FACES = ("xlo", "xhi", "ylo", "yhi", "zlo", "zhi")
+# the keys each boundary kind needs; BoundarySpec gets the faces as one tuple
+_BOUNDARY_NEEDS = {
+    "uniaxial": ("s0", "director"),
+    "biaxial": ("s", "r", "e1", "e2"),
+    "per-face": (*_FACES, "director"),
+}
+# Every section, its keys and each key's reader; serialize_config writes the
+# keys in this order.
+_SCHEMA = {
+    "material": dict.fromkeys(("alpha", "b", "c", "t_star", "elastic_l"), _FLOAT),
+    "temperature": dict.fromkeys(("value", *_SWEEP), _FLOAT),
+    "functional": {
+        "variant": _choice("variant", "quartic", "polynomial", "gl"),
+        "eps": _number(float, "positive"),
+        "a2": _FLOAT,
+        "term": _term,
+    },
+    "grid": {**dict.fromkeys(("nx", "ny", "nz"), _number(int)),
+             **dict.fromkeys(("hx", "hy", "hz"), _FLOAT)},
+    "boundary": {
+        "kind": _choice("boundary kind", *_BOUNDARY_NEEDS),
+        **dict.fromkeys(("s0", "s", "r"), _FLOAT),
+        **dict.fromkeys(("e1", "e2"), _vector),
+        **dict.fromkeys(_FACES, _FLOAT),
+        "director": _vector,
+    },
+    "solver": {
+        "tol": _number(float, "positive"),
+        **dict.fromkeys(("max_iters", "restarts", "seed"), _number(int, "nonnegative")),
+        "slack": _number(float, "nonnegative"),
+    },
+}
+
+
+def _parse_sections(text: str) -> dict[str, dict[str, object]]:
+    """Read every line against ``_SCHEMA``: {section: {key: value}}.
+
+    A repeated key keeps its last value, except ``term``, which collects a list.
+    """
+    sections: dict[str, dict[str, object]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -79,234 +156,115 @@ def _parse_sections(text: str) -> dict[str, list[tuple[int, str, str]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _KNOWN_SECTIONS:
+            if current not in _SCHEMA:
                 raise ConfigError(f"line {lineno}: unknown section [{current}]")
-            sections.setdefault(current, [])
+            sections.setdefault(current, {})
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         if current is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
-        sections[current].append((lineno, key, value))
+        read = _SCHEMA[current].get(key)
+        if read is None:
+            raise ConfigError(f"line {lineno}: unknown {current} key '{key}'")
+        if read is _term:
+            sections[current].setdefault(key, []).append(read(key, value, lineno))
+        else:
+            sections[current][key] = read(key, value, lineno)
     return sections
 
 
-def _floats(value: str, lineno: int, n: int) -> tuple[float, ...]:
-    parts = value.split()
-    if len(parts) != n:
-        raise ConfigError(f"line {lineno}: expected {n} numbers, got {len(parts)}")
-    return tuple(_scalar(p, lineno, float) for p in parts)
-
-
-def _scalar(value: str, lineno: int, cast):
+def _construct(sections: dict, name: str, build):
+    """The section's object, built from all of its keys (each one is required)."""
+    vals = sections[name]
+    missing = set(_SCHEMA[name]) - set(vals)
+    if missing:
+        raise ConfigError(f"[{name}] missing keys: {sorted(missing)}")
     try:
-        x = cast(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: non-numeric value '{value}'") from None
-    if cast is float and not math.isfinite(x):
-        raise ConfigError(f"line {lineno}: non-finite value '{value}'")
-    return x
+        return build(**vals)
+    except ValueError as exc:
+        raise ConfigError(f"[{name}]: {exc}") from None
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse the flat sectioned key-value configuration format.
 
-    Sections and keys:
-      [material]     alpha, b, c, t_star, elastic_l
-      [temperature]  value | start, stop, step (step > 0)
-      [functional]   variant = quartic|polynomial|gl; eps (gl);
-                     a2 and repeatable 'term = m p coeff' (polynomial)
-      [grid]         nx, ny, nz, hx, hy, hz
-      [boundary]     kind = uniaxial|biaxial|per-face; s0, director (uniaxial);
-                     s, r, e1, e2 (biaxial); xlo..zhi, director (per-face)
-      [solver]       tol (> 0); max_iters, restarts, seed, slack (>= 0)
+    ``_SCHEMA`` lists the sections, their keys and each key's reader; this
+    function applies the rules that span several keys.
     """
     sections = _parse_sections(text)
     cfg: dict = {}
-
     if "material" in sections:
-        vals: dict[str, float] = {}
-        for lineno, key, value in sections["material"]:
-            if key not in ("alpha", "b", "c", "t_star", "elastic_l"):
-                raise ConfigError(f"line {lineno}: unknown material key '{key}'")
-            vals[key] = _scalar(value, lineno, float)
-        missing = {"alpha", "b", "c", "t_star", "elastic_l"} - set(vals)
-        if missing:
-            raise ConfigError(f"[material] missing keys: {sorted(missing)}")
-        try:
-            cfg["material"] = bulk.Material(**vals)
-        except ValueError as exc:
-            raise ConfigError(f"[material]: {exc}") from None
-
+        cfg["material"] = _construct(sections, "material", bulk.Material)
     if "temperature" in sections:
-        vals = {}
-        for lineno, key, value in sections["temperature"]:
-            if key not in ("value", "start", "stop", "step"):
-                raise ConfigError(f"line {lineno}: unknown temperature key '{key}'")
-            vals[key] = _scalar(value, lineno, float)
+        vals = sections["temperature"]
         if "value" in vals:
             if len(vals) > 1:
                 raise ConfigError("[temperature] takes either value or start/stop/step")
             cfg["temperature"] = vals["value"]
         else:
-            if set(vals) != {"start", "stop", "step"}:
+            if set(vals) != set(_SWEEP):
                 raise ConfigError("[temperature] sweep needs start, stop and step")
             if vals["step"] <= 0.0:
                 raise ConfigError("[temperature] sweep step must be positive")
-            cfg["sweep"] = (vals["start"], vals["stop"], vals["step"])
-
+            cfg["sweep"] = tuple(vals[k] for k in _SWEEP)
     if "functional" in sections:
-        terms: list[tuple[int, int, float]] = []
-        for lineno, key, value in sections["functional"]:
-            if key == "variant":
-                if value not in ("quartic", "polynomial", "gl"):
-                    raise ConfigError(f"line {lineno}: unknown variant '{value}'")
-                cfg["variant"] = value
-            elif key == "eps":
-                cfg["gl_eps"] = _scalar(value, lineno, float)
-            elif key == "a2":
-                cfg["poly_a2"] = _scalar(value, lineno, float)
-            elif key == "term":
-                m, p, co = _floats(value, lineno, 3)
-                if m != int(m) or p != int(p):
-                    raise ConfigError(f"line {lineno}: term exponents must be integers")
-                terms.append((int(m), int(p), co))
-            else:
-                raise ConfigError(f"line {lineno}: unknown functional key '{key}'")
-        cfg["poly_terms"] = tuple(terms)
-
+        vals = sections["functional"]
+        cfg.update(variant=vals.get("variant", "quartic"), gl_eps=vals.get("eps"),
+                   poly_a2=vals.get("a2"), poly_terms=tuple(vals.get("term", ())))
     if "grid" in sections:
-        gvals: dict = {}
-        for lineno, key, value in sections["grid"]:
-            if key in ("nx", "ny", "nz"):
-                gvals[key] = _scalar(value, lineno, int)
-            elif key in ("hx", "hy", "hz"):
-                gvals[key] = _scalar(value, lineno, float)
-            else:
-                raise ConfigError(f"line {lineno}: unknown grid key '{key}'")
-        missing = {"nx", "ny", "nz", "hx", "hy", "hz"} - set(gvals)
-        if missing:
-            raise ConfigError(f"[grid] missing keys: {sorted(missing)}")
-        try:
-            cfg["grid"] = solver.Grid3(**gvals)
-        except ValueError as exc:
-            raise ConfigError(f"[grid]: {exc}") from None
-
+        cfg["grid"] = _construct(sections, "grid", solver.Grid3)
     if "boundary" in sections:
-        bvals: dict = {}
-        faces: dict[str, float] = {}
-        for lineno, key, value in sections["boundary"]:
-            if key == "kind":
-                if value not in ("uniaxial", "biaxial", "per-face"):
-                    raise ConfigError(f"line {lineno}: unknown boundary kind '{value}'")
-                bvals["kind"] = value
-            elif key in ("s0", "s", "r"):
-                bvals[key] = _scalar(value, lineno, float)
-            elif key in ("director", "e1", "e2"):
-                bvals[key] = _floats(value, lineno, 3)
-            elif key in ("xlo", "xhi", "ylo", "yhi", "zlo", "zhi"):
-                faces[key] = _scalar(value, lineno, float)
-            else:
-                raise ConfigError(f"line {lineno}: unknown boundary key '{key}'")
-        kind = bvals.get("kind")
+        vals = sections["boundary"]
+        kind = vals.get("kind")
         if kind is None:
             raise ConfigError("[boundary] missing 'kind'")
-        if kind == "uniaxial":
-            if "s0" not in bvals or "director" not in bvals:
-                raise ConfigError("[boundary] uniaxial needs s0 and director")
-            cfg["boundary"] = BoundarySpec(kind=kind, s0=bvals["s0"], director=bvals["director"])
-        elif kind == "biaxial":
-            needed = {"s", "r", "e1", "e2"}
-            if not needed <= set(bvals):
-                raise ConfigError(f"[boundary] biaxial needs {sorted(needed)}")
-            cfg["boundary"] = BoundarySpec(
-                kind=kind, s=bvals["s"], r=bvals["r"], e1=bvals["e1"], e2=bvals["e2"]
-            )
-        else:
-            order = ("xlo", "xhi", "ylo", "yhi", "zlo", "zhi")
-            missing = set(order) - set(faces)
-            if missing or "director" not in bvals:
-                raise ConfigError("[boundary] per-face needs xlo..zhi and director")
-            cfg["boundary"] = BoundarySpec(
-                kind=kind,
-                director=bvals["director"],
-                faces=tuple(faces[k] for k in order),
-            )
-
+        needs = _BOUNDARY_NEEDS[kind]
+        if not set(needs) <= set(vals):
+            raise ConfigError(f"[boundary] {kind} needs {sorted(needs)}")
+        spec = {k: vals[k] for k in needs if k not in _FACES}
+        if kind == "per-face":
+            spec["faces"] = tuple(vals[k] for k in _FACES)
+        cfg["boundary"] = BoundarySpec(kind=kind, **spec)
     if "solver" in sections:
-        svals: dict = {}
-        for lineno, key, value in sections["solver"]:
-            if key in ("tol", "slack"):
-                svals[key] = _scalar(value, lineno, float)
-            elif key in ("max_iters", "restarts", "seed"):
-                svals[key] = _scalar(value, lineno, int)
-            else:
-                raise ConfigError(f"line {lineno}: unknown solver key '{key}'")
-            if key == "tol" and not svals[key] > 0.0:
-                raise ConfigError(f"line {lineno}: tol must be positive")
-            if svals[key] < 0:
-                raise ConfigError(f"line {lineno}: {key} must be nonnegative")
-        cfg["solver"] = SolverBlock(**svals)
-
+        cfg["solver"] = SolverBlock(**sections["solver"])
     return RunConfig(**cfg)
+
+
+def _fields(obj) -> dict:
+    return {} if obj is None else {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _text(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return " ".join(repr(v) for v in value)
+    return repr(value)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text for a RunConfig; parse(serialize(parse(t))) == parse(t)."""
+    values = {
+        "material": _fields(cfg.material),
+        "temperature": {"value": cfg.temperature, **dict(zip(_SWEEP, cfg.sweep or ()))},
+        "functional": {"variant": cfg.variant, "eps": cfg.gl_eps, "a2": cfg.poly_a2,
+                       "term": cfg.poly_terms},
+        "grid": _fields(cfg.grid),
+        "boundary": {**_fields(cfg.boundary),
+                     **dict(zip(_FACES, getattr(cfg.boundary, "faces", None) or ()))},
+        "solver": _fields(cfg.solver),
+    }
     out: list[str] = []
-    if cfg.material is not None:
-        m = cfg.material
-        out.append("[material]")
-        for key in ("alpha", "b", "c", "t_star", "elastic_l"):
-            out.append(f"{key} = {getattr(m, key)!r}")
-    if cfg.temperature is not None or cfg.sweep is not None:
-        out.append("[temperature]")
-        if cfg.temperature is not None:
-            out.append(f"value = {cfg.temperature!r}")
-        else:
-            start, stop, step = cfg.sweep
-            out.append(f"start = {start!r}")
-            out.append(f"stop = {stop!r}")
-            out.append(f"step = {step!r}")
-    out.append("[functional]")
-    out.append(f"variant = {cfg.variant}")
-    if cfg.gl_eps is not None:
-        out.append(f"eps = {cfg.gl_eps!r}")
-    if cfg.poly_a2 is not None:
-        out.append(f"a2 = {cfg.poly_a2!r}")
-    for m, p, co in cfg.poly_terms:
-        out.append(f"term = {m} {p} {co!r}")
-    if cfg.grid is not None:
-        g = cfg.grid
-        out.append("[grid]")
-        for key in ("nx", "ny", "nz"):
-            out.append(f"{key} = {getattr(g, key)}")
-        for key in ("hx", "hy", "hz"):
-            out.append(f"{key} = {getattr(g, key)!r}")
-    if cfg.boundary is not None:
-        b = cfg.boundary
-        out.append("[boundary]")
-        out.append(f"kind = {b.kind}")
-        if b.kind == "uniaxial":
-            out.append(f"s0 = {b.s0!r}")
-            out.append("director = " + " ".join(repr(v) for v in b.director))
-        elif b.kind == "biaxial":
-            out.append(f"s = {b.s!r}")
-            out.append(f"r = {b.r!r}")
-            out.append("e1 = " + " ".join(repr(v) for v in b.e1))
-            out.append("e2 = " + " ".join(repr(v) for v in b.e2))
-        else:
-            for key, val in zip(("xlo", "xhi", "ylo", "yhi", "zlo", "zhi"), b.faces):
-                out.append(f"{key} = {val!r}")
-            out.append("director = " + " ".join(repr(v) for v in b.director))
-    s = cfg.solver
-    out.append("[solver]")
-    out.append(f"tol = {s.tol!r}")
-    out.append(f"max_iters = {s.max_iters}")
-    out.append(f"restarts = {s.restarts}")
-    out.append(f"seed = {s.seed}")
-    out.append(f"slack = {s.slack!r}")
+    for name, keys in _SCHEMA.items():
+        lines = [
+            f"{key} = {_text(v)}"
+            for key, read in keys.items() if values[name].get(key) is not None
+            for v in (values[name][key] if read is _term else [values[name][key]])
+        ]
+        if lines:
+            out += [f"[{name}]", *lines]
     return "\n".join(out) + "\n"
 
 
@@ -360,15 +318,17 @@ def _temperatures(cfg: RunConfig) -> np.ndarray:
     if cfg.sweep is not None:
         start, stop, step = cfg.sweep
         # relative bump so a stop that lands on the grid is included
-        n = int(np.floor((stop - start) / step * (1.0 + 1e-12) + 1e-9)) + 1
-        return start + np.arange(max(n, 0)) * step
+        last = np.floor((stop - start) / step * (1.0 + 1e-12) + 1e-9)
+        if not math.isfinite(last):
+            raise ConfigError("[temperature] sweep has no finite number of temperatures")
+        return start + np.arange(max(int(last) + 1, 0)) * step
     raise ConfigError("this command needs a [temperature] block")
 
 
 def _json_default(obj):
     """JSON encoding of the dataclasses and numpy values the reports hold."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        return _fields(obj)
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +83,53 @@ def test_parse_errors_have_line_numbers():
         parse_config("[material]\nalpha = -inf\n")
     with pytest.raises(ConfigError, match="line 3: non-finite value 'NaN'"):
         parse_config("[boundary]\nkind = uniaxial\ndirector = 0 NaN 1\n")
+
+
+MATERIAL_LINES = "[material]\nalpha = 1\nb = 1\nc = 1\nt_star = 1\nelastic_l = 1\n"
+GRID_LINES = "[grid]\nnx = 3\nny = 3\nnz = 3\nhx = 1\nhy = 1\nhz = 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[materialz]\n", "line 1: unknown section [materialz]"),
+    ("[material]\nalpha 1\n", "line 2: expected 'key = value'"),
+    ("alpha = 1\n", "line 1: key outside any [section]"),
+    ("[boundary]\nkind = uniaxial\ndirector = 0 1\n", "line 3: expected 3 numbers, got 2"),
+    ("[material]\nalpha = x\n", "line 2: non-numeric value 'x'"),
+    ("[grid]\nnx = 5.0\n", "line 2: non-numeric value '5.0'"),
+    ("[temperature]\nvalue = -inf\n", "line 2: non-finite value '-inf'"),
+    ("[material]\nbogus = 1\n", "line 2: unknown material key 'bogus'"),
+    ("[temperature]\nbogus = 1\n", "line 2: unknown temperature key 'bogus'"),
+    ("[functional]\nbogus = 1\n", "line 2: unknown functional key 'bogus'"),
+    ("[grid]\nbogus = 1\n", "line 2: unknown grid key 'bogus'"),
+    ("[boundary]\nbogus = 1\n", "line 2: unknown boundary key 'bogus'"),
+    ("[solver]\nbogus = 1\n", "line 2: unknown solver key 'bogus'"),
+    ("[material]\nalpha = 1\n", "[material] missing keys: ['b', 'c', 'elastic_l', 't_star']"),
+    ("[grid]\nnx = 3\nhz = 1\n", "[grid] missing keys: ['hx', 'hy', 'ny', 'nz']"),
+    (MATERIAL_LINES.replace("b = 1", "b = 0"), "[material]: Material.b must be positive"),
+    (GRID_LINES.replace("ny = 3", "ny = 2"),
+     "[grid]: Grid3.ny must be >= 3 (one interior node per axis)"),
+    ("[temperature]\nvalue = 1\nstep = 1\n", "[temperature] takes either value or start/stop/step"),
+    ("[temperature]\nstart = 1\nstop = 2\n", "[temperature] sweep needs start, stop and step"),
+    ("[temperature]\nstart = 1\nstop = 2\nstep = 0\n", "[temperature] sweep step must be positive"),
+    ("[functional]\nvariant = cubic\n", "line 2: unknown variant 'cubic'"),
+    ("[functional]\nvariant = gl\neps = 0\n", "line 3: eps must be positive"),
+    ("[functional]\nvariant = gl\neps = -1\n", "line 3: eps must be positive"),
+    ("[functional]\nterm = 0 1.5 1\n", "line 2: term exponents must be integers"),
+    ("[boundary]\nkind = radial\n", "line 2: unknown boundary kind 'radial'"),
+    ("[boundary]\ns0 = 1\n", "[boundary] missing 'kind'"),
+    ("[boundary]\nkind = uniaxial\ns0 = 1\n", "[boundary] uniaxial needs ['director', 's0']"),
+    ("[boundary]\nkind = biaxial\ns = 1\nr = 1\ne1 = 1 0 0\n",
+     "[boundary] biaxial needs ['e1', 'e2', 'r', 's']"),
+    ("[boundary]\nkind = per-face\nxlo = 1\ndirector = 0 0 1\n",
+     "[boundary] per-face needs ['director', 'xhi', 'xlo', 'yhi', 'ylo', 'zhi', 'zlo']"),
+    ("[solver]\ntol = 0\n", "line 2: tol must be positive"),
+    ("[solver]\nmax_iters = -1\n", "line 2: max_iters must be nonnegative"),
+    ("[solver]\nslack = -0.5\n", "line 2: slack must be nonnegative"),
+])
+def test_each_config_fault_has_its_message(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == message
 
 
 def test_config_roundtrip_idempotent():
@@ -266,13 +314,34 @@ def test_exit_code_contract(tmp_path):
 
 
 @pytest.mark.parametrize("edit", [("value = 44.5", "value = nan"), ("hy = 1.0", "hy = inf"),
-                                  ("hy = 1.0", "hy = 1e308"), ("hy = 1.0", "hy = 1e-200")])
+                                  ("hy = 1.0", "hy = 1e308"), ("hy = 1.0", "hy = 1e-200"),
+                                  ("variant = quartic", "variant = gl\neps = 0"),
+                                  ("variant = quartic", "variant = gl\neps = -1")])
 def test_minimize_rejects_out_of_range_numbers(tmp_path, capsys, edit):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(minimize_config(nx=5).replace(*edit))
     rc = cli.main(["--out", str(tmp_path), "minimize", "--config", str(cfg)])
     assert rc == EXIT_PARSE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["phase", "triangles"])
+def test_sweep_without_a_finite_count_is_a_config_error(tmp_path, capsys, command):
+    # (stop - start) / step overflows to inf: exit 2, not an OverflowError
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MATERIAL_KJ + "\n[temperature]\nstart = 1.0\nstop = 3.0\nstep = 1e-320\n")
+    assert cli.main(["--out", str(tmp_path), command, "--config", str(cfg)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == "error: [temperature] sweep has no finite number of temperatures\n"
+
+
+def test_readme_config_example_round_trips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Configuration format"):]
+    example = section[section.index("```ini\n") + len("```ini\n"):]
+    cfg = parse_config(example[:example.index("```")])
+    assert cfg.material and cfg.temperature and cfg.grid and cfg.boundary
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 @pytest.mark.parametrize("line, message", [
