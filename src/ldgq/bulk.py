@@ -9,6 +9,7 @@ over leading array axes so a whole lattice evaluates in one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -62,6 +63,12 @@ class Material:
         for name in ("alpha", "b", "c", "elastic_l"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"Material.{name} must be positive")
+        # the closed forms square b, multiply alpha by c, and reach densities of size b^4/c^3
+        ratio = self.b / self.c
+        scales = (self.b * self.b, self.alpha * self.c, self.b * ratio * ratio * ratio)
+        if not all(math.isfinite(x) for x in (*scales, self.t_star, self.elastic_l)):
+            raise ValueError("Material constants overflow: b^2, alpha c, b^4/c^3, t_star "
+                             "and elastic_l must be finite")
 
 
 def a_of_temperature(m: Material, t: float) -> float:

@@ -115,13 +115,15 @@ _BOUNDARY_NEEDS = {
     "biaxial": ("s", "r", "e1", "e2"),
     "per-face": (*_FACES, "director"),
 }
+# the keys each functional variant reads besides 'variant'
+_VARIANT_USES = {"quartic": (), "gl": ("eps",), "polynomial": ("a2", "term")}
 # Every section, its keys and each key's reader; serialize_config writes the
 # keys in this order.
 _SCHEMA = {
     "material": dict.fromkeys(("alpha", "b", "c", "t_star", "elastic_l"), _FLOAT),
     "temperature": dict.fromkeys(("value", *_SWEEP), _FLOAT),
     "functional": {
-        "variant": _choice("variant", "quartic", "polynomial", "gl"),
+        "variant": _choice("variant", *_VARIANT_USES),
         "eps": _number(float, "positive"),
         "a2": _FLOAT,
         "term": _term,
@@ -187,6 +189,12 @@ def _construct(sections: dict, name: str, build):
         raise ConfigError(f"[{name}]: {exc}") from None
 
 
+def _reject_unused(vals: dict, name: str, choice: str, uses: tuple[str, ...]) -> None:
+    unused = set(vals) - set(uses)
+    if unused:
+        raise ConfigError(f"[{name}] {choice} does not use {sorted(unused)}")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse the flat sectioned key-value configuration format.
 
@@ -211,7 +219,9 @@ def parse_config(text: str) -> RunConfig:
             cfg["sweep"] = tuple(vals[k] for k in _SWEEP)
     if "functional" in sections:
         vals = sections["functional"]
-        cfg.update(variant=vals.get("variant", "quartic"), gl_eps=vals.get("eps"),
+        variant = vals.get("variant", "quartic")
+        _reject_unused(vals, "functional", variant, ("variant", *_VARIANT_USES[variant]))
+        cfg.update(variant=variant, gl_eps=vals.get("eps"),
                    poly_a2=vals.get("a2"), poly_terms=tuple(vals.get("term", ())))
     if "grid" in sections:
         cfg["grid"] = _construct(sections, "grid", solver.Grid3)
@@ -223,6 +233,7 @@ def parse_config(text: str) -> RunConfig:
         needs = _BOUNDARY_NEEDS[kind]
         if not set(needs) <= set(vals):
             raise ConfigError(f"[boundary] {kind} needs {sorted(needs)}")
+        _reject_unused(vals, "boundary", kind, ("kind", *needs))
         spec = {k: vals[k] for k in needs if k not in _FACES}
         if kind == "per-face":
             spec["faces"] = tuple(vals[k] for k in _FACES)

@@ -5,16 +5,25 @@ bulk density over nodes plus the elastic Dirichlet form summed over lattice
 edges, every term weighted with the full cell volume. With that quadrature
 the Euler-Lagrange residual (twice the elastic constant times the 7-point
 Laplacian minus the bulk gradient) is the exact negative energy gradient per
-unit node volume at every interior node. One gradient flow, implicit in the
-elastic and explicit in the bulk term (Eyre 1998; Shen & Yang, DCDS-A 28, 2010),
+unit node volume at every interior node. One descent loop serves both
+minimizers: ``minimize`` relaxes the five coefficients with c = 2 L, and
+``minimize_uniaxial_fixed_director`` relaxes the scalar s of
+Q = s (n x n - I/3) for a fixed n with c = (4/3) L, on the full energy
+restricted to that line.
+
+Each step is preconditioned L-BFGS (Nocedal, Math. Comp. 35, 1980; Liu &
+Nocedal, Math. Prog. 45, 1989) with the last m = 2 pairs s (the accepted step)
+and y (the old minus the new residual), Euclidean dot products over the node
+coefficients, and a pair kept only if s.y > 0. Its initial inverse Hessian H0 is
+the semi-implicit gradient-flow step, implicit in the elastic and explicit in
+the bulk term (Eyre 1998; Shen & Yang, DCDS-A 28, 2010),
 
     Q <- Q + (I/dt - c lap_h)^-1 (c lap_h Q - dF_bulk/dQ),
 
-serves both minimizers: ``minimize`` relaxes the five coefficients with
-c = 2 L, and ``minimize_uniaxial_fixed_director`` relaxes the scalar s of
-Q = s (n x n - I/3) for a fixed n with c = (4/3) L, on the full energy
-restricted to that line. Only the bulk term limits dt; the step control
-halves dt whenever a step would raise the energy beyond roundoff.
+applied unscaled; with no pairs the step is this flow step. If the quasi-Newton
+trial would raise the energy beyond roundoff, the pairs are dropped and the
+flow step is taken instead, with dt halved until it lowers the energy. Only the
+bulk term limits dt.
 """
 
 from __future__ import annotations
@@ -47,6 +56,10 @@ __all__ = [
 # Accepted steps may raise the energy by at most this many ulps of its scale;
 # near a minimum the true decrease per step drops below float resolution.
 _ROUNDOFF_ULPS = 64.0
+
+# Number of (s, y) pairs the L-BFGS step keeps. Each pair holds two fields; a
+# third pair saved no iteration on a 33^3 relaxation.
+_MEMORY = 2
 
 
 @dataclass(frozen=True)
@@ -155,6 +168,8 @@ class SolveReport:
     converged: bool
     energy_history_monotone: bool
     dt_final: float
+    stop_reason: str  # converged | max_iters | step_collapse
+    fallbacks: int  # rejected quasi-Newton trials
     seed: Optional[int] = None
     hypothesis_met: Optional[bool] = None
 
@@ -223,61 +238,110 @@ def _sampled_hessian_bound(fun: BulkFunctional, values: np.ndarray) -> float:
     return 1.5 * bound
 
 
+def _lbfgs_step(res: np.ndarray, pairs: list, solve, sigma: float) -> np.ndarray:
+    """The two-loop recursion (Nocedal 1980) applied to ``res`` with H0 = ``solve(., sigma)``.
+
+    ``pairs`` holds (s, y, 1/(s.y)) oldest first; with no pairs this is the plain
+    semi-implicit step. The work array is freed before the step is returned.
+    """
+    work = res.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * np.vdot(s, work))
+        work -= alphas[-1] * y
+    step = solve(work, sigma)
+    del work
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        step += (alpha - rho * np.vdot(y, step)) * s
+    return step
+
+
 def _flow(values: np.ndarray, grid: Grid3, c: float, density, gradient, coeffs: np.ndarray,
           cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
-    """Energy-monotone gradient flow of ``_energy(values, grid, c, density)`` on interior nodes.
+    """Energy-monotone L-BFGS flow of ``_energy(values, grid, c, density)`` on interior nodes.
 
-    Each step adds x solving (I/dt - c lap_h) x = ``_residual(values, grid, c, gradient)``.
-    dt starts at 0.9 over the sampled bulk Hessian bound of ``cfg.functional`` at
-    ``coeffs``, the five-coefficient field of ``values``, and is halved whenever a step
-    would raise the energy beyond roundoff. ``energy_history_monotone`` is False if an
-    accepted energy ever rose above the lowest one before it by more than that allowance.
+    The quasi-Newton trial applies the last ``_MEMORY`` pairs (s, y) to the residual
+    ``_residual(values, grid, c, gradient)`` with H0 = (I/dt - c lap_h)^-1. If it would
+    raise the energy beyond roundoff, the memory is dropped (a fallback) and the plain
+    step x solving (I/dt - c lap_h) x = residual is tried, halving dt until it does
+    not. dt starts at 0.9 over the sampled bulk Hessian bound of ``cfg.functional`` at
+    ``coeffs``, the five-coefficient field of ``values``. ``energy_history_monotone``
+    is False if an accepted energy ever rose above the lowest one before it by more
+    than that allowance.
     """
     energy = _energy(values, grid, c, density)
     if not math.isfinite(energy):
         raise DivergenceError("initial field has non-finite energy")
     dt = 0.9 / _sampled_hessian_bound(cfg.functional, coeffs)
     solve = _shifted_solver(grid, c)
-    iterations = 0
+    iterations = fallbacks = 0
     lowest, monotone = energy, True
+    pairs: list = []  # (s, y, 1/(s.y)), oldest first
+    res = _residual(values, grid, c, gradient)
     while True:
-        res = _residual(values, grid, c, gradient)
         rmax = _max_node_norm(res)
-        if rmax <= cfg.tol_residual or iterations >= cfg.max_iters:
+        if rmax <= cfg.tol_residual:
+            stop_reason = "converged"
             break
-        for _ in range(61):  # the first trial and up to 60 halvings
-            trial = values + solve(res, 1.0 / dt)
+        if iterations >= cfg.max_iters:
+            stop_reason = "max_iters"
+            break
+        allowance = _ROUNDOFF_ULPS * np.finfo(float).eps * max(1.0, abs(energy))
+        limit = energy + allowance
+        if pairs:
+            step = _lbfgs_step(res, pairs, solve, 1.0 / dt)
+            trial = values + step
             trial_energy = _energy(trial, grid, c, density)
-            allowance = _ROUNDOFF_ULPS * np.finfo(float).eps * max(1.0, abs(energy))
-            if math.isfinite(trial_energy) and trial_energy <= energy + allowance:
+            if not -math.inf < trial_energy <= limit:  # NaN and infinities fail
+                fallbacks += 1
+                pairs.clear()
+                del step, trial
+        if not pairs:  # no memory yet, or the quasi-Newton trial failed
+            for _ in range(61):  # the first trial and up to 60 halvings
+                step = solve(res, 1.0 / dt)
+                trial = values + step
+                trial_energy = _energy(trial, grid, c, density)
+                if -math.inf < trial_energy <= limit:
+                    break
+                dt *= 0.5
+            else:
+                if not math.isfinite(trial_energy):
+                    raise DivergenceError("gradient flow produced a non-finite energy")
+                stop_reason = "step_collapse"
                 break
-            dt *= 0.5
-        else:
-            if not math.isfinite(trial_energy):
-                raise DivergenceError("gradient flow produced a non-finite energy")
-            break  # the step collapsed
         monotone = monotone and bool(trial_energy <= lowest + allowance)
         lowest = min(lowest, trial_energy)
         values = trial
         energy = trial_energy
         iterations += 1
+        if len(pairs) == _MEMORY:
+            del pairs[:1]  # the oldest, before the new residual is allocated
+        y = res
+        res = _residual(values, grid, c, gradient)
+        y -= res
+        sy = float(np.vdot(step, y))
+        if sy > 0.0 and len(pairs) < _MEMORY:
+            pairs.append((step, y, 1.0 / sy))
+        del step, y
     return values, SolveReport(
         iterations=iterations,
         final_energy=energy,
         final_residual_maxnorm=rmax,
-        converged=rmax <= cfg.tol_residual,
+        converged=stop_reason == "converged",
         energy_history_monotone=monotone,
         dt_final=dt,
+        stop_reason=stop_reason,
+        fallbacks=fallbacks,
     )
 
 
 def minimize(initial: QField, cfg: SolverConfig) -> tuple[QField, SolveReport]:
-    """Relax a field by semi-implicit energy-monotone gradient flow on interior nodes.
+    """Relax a field by energy-monotone preconditioned L-BFGS on interior nodes.
 
     The boundary layer of ``initial`` is the Dirichlet datum and is never
     touched. Convergence means the residual max node norm fell below
-    ``cfg.tol_residual``; hitting ``max_iters`` returns the best (latest)
-    iterate with ``converged`` False.
+    ``cfg.tol_residual``; hitting ``max_iters`` or a collapsed step returns the
+    best (latest) iterate with ``converged`` False, and ``stop_reason`` says which.
     """
     if not math.isfinite(discrete_energy(initial, cfg)):
         raise DivergenceError("initial field has non-finite energy")

@@ -122,6 +122,19 @@ GRID_LINES = "[grid]\nnx = 3\nny = 3\nnz = 3\nhx = 1\nhy = 1\nhz = 1\n"
      "[boundary] biaxial needs ['e1', 'e2', 'r', 's']"),
     ("[boundary]\nkind = per-face\nxlo = 1\ndirector = 0 0 1\n",
      "[boundary] per-face needs ['director', 'xhi', 'xlo', 'yhi', 'ylo', 'zhi', 'zlo']"),
+    ("[boundary]\nkind = uniaxial\ns0 = 1\ndirector = 0 0 1\nxlo = 9\ne1 = 1 0 0\n",
+     "[boundary] uniaxial does not use ['e1', 'xlo']"),
+    ("[boundary]\nkind = biaxial\ns = 1\nr = 1\ne1 = 1 0 0\ne2 = 0 1 0\ns0 = 1\n",
+     "[boundary] biaxial does not use ['s0']"),
+    ("[functional]\nvariant = quartic\na2 = -0.2\nterm = 0 1 -1\n",
+     "[functional] quartic does not use ['a2', 'term']"),
+    ("[functional]\neps = 0.1\n", "[functional] quartic does not use ['eps']"),
+    ("[functional]\nvariant = gl\neps = 0.1\na2 = -0.2\n", "[functional] gl does not use ['a2']"),
+    ("[functional]\nvariant = polynomial\na2 = -0.2\neps = 0.1\n",
+     "[functional] polynomial does not use ['eps']"),
+    (MATERIAL_LINES.replace("b = 1", "b = 1e200").replace("c = 1", "c = 1e200"),
+     "[material]: Material constants overflow: b^2, alpha c, b^4/c^3, t_star and elastic_l "
+     "must be finite"),
     ("[solver]\ntol = 0\n", "line 2: tol must be positive"),
     ("[solver]\nmax_iters = -1\n", "line 2: max_iters must be nonnegative"),
     ("[solver]\nslack = -0.5\n", "line 2: slack must be nonnegative"),
@@ -207,6 +220,7 @@ def test_minimize_constant_boundary_converges(tmp_path):
     report = json.loads((tmp_path / "solve_report.json").read_text())
     audit = json.loads((tmp_path / "audit.json").read_text())
     assert report["converged"] and report["iterations"] == 0
+    assert (report["stop_reason"], report["fallbacks"]) == ("converged", 0)
     assert audit["satisfied"] and audit["regime"] == "LowTemp"
     field = read_field(tmp_path / "field.ldgq")
     # constant up to the harmonic-fill stopping tolerance
@@ -267,6 +281,7 @@ def test_exit_code_contract(tmp_path):
     cfg.write_text(minimize_config(t=44.5, s0=0.7, nx=5, extra="max_iters = 1\n"))
     rc = cli.main(["--out", str(tmp_path), "minimize", "--config", str(cfg)])
     assert rc == EXIT_DIVERGENCE
+    assert json.loads((tmp_path / "solve_report.json").read_text())["stop_reason"] == "max_iters"
 
     # audit failure with the hypothesis met: tampered high-temperature field
     cfg_ht = tmp_path / "ht.cfg"
@@ -333,6 +348,28 @@ def test_sweep_without_a_finite_count_is_a_config_error(tmp_path, capsys, comman
     assert cli.main(["--out", str(tmp_path), command, "--config", str(cfg)]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err == "error: [temperature] sweep has no finite number of temperatures\n"
+
+
+@pytest.mark.parametrize("command", ["phase", "triangles"])
+def test_overflowing_material_constants_are_a_config_error(tmp_path, capsys, command):
+    # b^2 overflows: the sweeps used to write inf rows and vertices and exit 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MATERIAL_LINES.replace("b = 1", "b = 1e200").replace("c = 1", "c = 1e200")
+                   + "[temperature]\nstart = 1.0\nstop = 3.0\nstep = 1.0\n")
+    assert cli.main(["--out", str(tmp_path), command, "--config", str(cfg)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: [material]: Material constants overflow")
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("edit", [("s0 = 0.8", "s0 = 0.8\nxlo = 9\ne1 = 1 0 0"),
+                                  ("variant = quartic", "variant = quartic\neps = 0.1")])
+def test_minimize_rejects_keys_the_choice_does_not_use(tmp_path, capsys, edit):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(minimize_config(nx=5).replace(*edit))
+    rc = cli.main(["--out", str(tmp_path), "minimize", "--config", str(cfg)])
+    assert rc == EXIT_PARSE
+    assert "does not use" in capsys.readouterr().err
+    assert not (tmp_path / "solve_report.json").exists()
 
 
 def test_readme_config_example_round_trips():

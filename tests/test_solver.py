@@ -248,6 +248,7 @@ def test_minimize_nonconverged_reports_false():
     _, report = minimize(init, cfg)
     assert not report.converged
     assert report.iterations == 3
+    assert report.stop_reason == "max_iters"
 
 
 def test_minimize_fine_grid_within_small_budget():
@@ -263,6 +264,84 @@ def test_minimize_fine_grid_within_small_budget():
     assert report.converged
     assert report.iterations <= 60
     assert report.energy_history_monotone
+
+
+def _flow_functional(variant, m, t):
+    if variant == "quartic":
+        return Quartic(m, t)
+    if variant == "gl":  # stiff enough that some quasi-Newton trials fail
+        return GLPenalized(m, t, 0.05)
+    return Polynomial(a2=a_of_temperature(m, t) / 2.0,
+                      terms=((0, 1, -m.b / 3.0), (2, 0, m.c / 4.0), (3, 0, 0.5)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(3, 7)] * 3),
+    spacings=st.tuples(*[st.floats(0.5, 1.5)] * 3),
+    variant=st.sampled_from(["quartic", "gl", "poly"]),
+    s_frac=st.floats(0.05, 1.0),
+    director=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+)
+# the interior turns nematic into the penalty: 25 quasi-Newton trials fail
+@example(shape=(7, 7, 7), spacings=(1.0, 1.0, 1.0), variant="gl", s_frac=0.2,
+         director=(0.0, 0.0, 1.0))
+def test_lbfgs_steps_descend_to_the_memory_zero_minimizer(shape, spacings, variant, s_frac,
+                                                          director):
+    # The residual is evaluated once per accepted iterate, so recording its
+    # arguments recovers the accepted energies in order. With no pairs kept
+    # the flow is the plain semi-implicit gradient flow.
+    m = mbba(scale=1e-3)
+    t = 44.0
+    cfg = SolverConfig(functional=_flow_functional(variant, m, t), elastic_l=m.elastic_l,
+                       tol_residual=1e-8)
+    grid = Grid3(*shape, *spacings)
+    s0 = s_frac * min(stationary_scalars(m, t).s_plus, 1.0)
+    init = harmonic_interior(
+        uniform_boundary_field(grid, s0, np.array(director) / np.linalg.norm(director)))
+    iterates = []
+    residual = solver._residual
+
+    def recording_residual(values, *args):
+        iterates.append(values.copy())
+        return residual(values, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_residual", recording_residual)
+        _, report = minimize(init, cfg)
+        mp.setattr(solver, "_MEMORY", 0)
+        _, plain = minimize(init, cfg)
+    assert report.converged and plain.converged
+    energies = [discrete_energy(init.with_values(v), cfg) for v in iterates[:report.iterations + 1]]
+    assert energies[-1] == report.final_energy
+    for before, after in zip(energies, energies[1:]):
+        assert after <= before + solver._ROUNDOFF_ULPS * np.finfo(float).eps * max(1.0, abs(before))
+    assert report.final_energy == pytest.approx(plain.final_energy, rel=1e-9, abs=0.0)
+    assert plain.fallbacks == 0
+
+
+def test_stiff_penalty_forces_fallbacks_and_still_converges():
+    # At eps = 0.05 the penalty's curvature outgrows the first dt, so some
+    # quasi-Newton trials raise the energy; each drops the memory and the
+    # plain step halves dt until the energy falls.
+    m = mbba(scale=1e-3)
+    cfg = SolverConfig(functional=GLPenalized(m, 43.0, 0.05), elastic_l=m.elastic_l,
+                       tol_residual=1e-7)
+    grid = Grid3(7, 7, 7, 1.0, 1.0, 1.0)
+    init = harmonic_interior(uniform_boundary_field(grid, 0.35 / np.sqrt(2.0 / 3.0)))
+    _, report = minimize(init, cfg)
+    assert report.fallbacks > 0
+    assert report.converged and report.stop_reason == "converged"
+    assert report.energy_history_monotone
+
+
+def test_minimize_reports_step_collapse(monkeypatch):
+    # an allowance no trial can meet: the first step and all 60 halvings are rejected
+    m, cfg = quartic_cfg(t=44.5)
+    init = harmonic_interior(uniform_boundary_field(Grid3(6, 6, 6, 1.0, 1.0, 1.0), 0.5))
+    monkeypatch.setattr(solver, "_ROUNDOFF_ULPS", -1e300)
+    _, report = minimize(init, cfg)
+    assert (report.stop_reason, report.converged, report.iterations) == ("step_collapse", False, 0)
 
 
 def test_uniaxial_fixed_director_constant_boundary():
