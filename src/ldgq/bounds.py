@@ -116,7 +116,7 @@ def _triangle_vertices(eta: float) -> tuple[tuple[float, float], ...]:
 def triangle_columns(m: Material, t) -> TriangleColumns:
     """Compare the elastic triangle against the physical one at each temperature of ``t``.
 
-    Raises RegimeError naming the first temperature that ``bulk_triangle_scale``
+    Raises RegimeError naming the first temperature that ``stationary_columns``
     rejects.
     """
     col = stationary_columns(m, t)

@@ -271,9 +271,19 @@ def nematic_root(m: Material, a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stationary_columns(m: Material, t) -> StationaryColumns:
-    """Uniaxial stationary points of the quartic bulk density at each temperature of ``t``."""
+    """Uniaxial stationary points of the quartic bulk density at each temperature of ``t``.
+
+    Temperatures with a < -alpha*t_star (below the absolute-zero equivalent of
+    the linear law) are rejected, naming the first one.
+    """
     t = np.asarray(t)
     a = a_of_temperature(m, t)
+    cold = np.flatnonzero(a < -m.alpha * m.t_star)
+    if cold.size:
+        raise RegimeError(
+            f"temperature {t.flat[cold[0]].item()} lies below the absolute-zero "
+            "equivalent of the linear law"
+        )
     root, nematic = nematic_root(m, a)
     s_plus = (m.b + root) / (4.0 * m.c)
     s_minus = (m.b - root) / (4.0 * m.c)
@@ -331,15 +341,8 @@ def bulk_triangle_scale(m: Material, col: StationaryColumns) -> np.ndarray:
 
     In the deeply ordered regime a < -b^2/3c the vertices scale with
     2|s_minus|, otherwise with s_plus; NaN where the nematic branch does not
-    exist. Temperatures with a < -alpha*t_star (below the absolute-zero
-    equivalent of the linear law) are rejected, naming the first one.
+    exist.
     """
-    cold = np.flatnonzero(col.a < -m.alpha * m.t_star)
-    if cold.size:
-        raise RegimeError(
-            f"temperature {col.t.flat[cold[0]].item()} lies below the absolute-zero "
-            "equivalent of the linear law"
-        )
     return np.where(col.a >= -m.b * m.b / (3.0 * m.c), col.s_plus, 2.0 * np.abs(col.s_minus))
 
 
@@ -347,8 +350,8 @@ def bulk_triangle(m: Material, t: float) -> list[tuple[float, float]]:
     """Vertices of the convex hull of the bulk stationary points in the (s, r) plane.
 
     Where the nematic branch does not exist (above superheating) the hull
-    collapses to the origin; see ``bulk_triangle_scale`` for the scale and the
-    rejected temperatures.
+    collapses to the origin; see ``bulk_triangle_scale`` for the scale and
+    ``stationary_columns`` for the rejected temperatures.
     """
     col = stationary_columns(m, t)
     scale = float(bulk_triangle_scale(m, col))

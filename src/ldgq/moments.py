@@ -176,16 +176,21 @@ def load_density_csv(path, quad: SphericalQuadrature) -> Distribution:
     of column names are skipped. Negative values and angles that are not
     finite are rejected.
 
-    The rows are parsed in one ``np.loadtxt`` call. Only a file that parse
-    rejects, or that holds a negative value or a non-finite angle, goes
-    through the per-line reader, which accepts or rejects it and names the
-    offending line.
+    Line 1 is skipped when ``_is_header`` says it is a header; the other
+    lines, stripped and without the blank and '#' ones, are parsed in one
+    ``np.loadtxt`` call. Only a file that parse rejects, or that holds a
+    negative value or a non-finite angle, goes through the per-line reader,
+    which accepts or rejects it and names the offending line.
     """
     with open(path) as fh:
+        if not _is_header(fh.readline().strip()):
+            fh.seek(0)
+        # np.loadtxt rejects whitespace-only lines, so it gets the lines stripped
+        lines = (text for text in map(str.strip, fh) if text and not text.startswith("#"))
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # e.g. no rows: let the line reader judge
-                rows = np.loadtxt(_data_lines(fh), delimiter=",", comments=None, ndmin=2)
+                rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except (ValueError, Warning):
             rows = None
         if (rows is None or rows.shape[1] != 3 or (rows[:, 2] < 0.0).any()
@@ -206,7 +211,7 @@ def load_density_csv(path, quad: SphericalQuadrature) -> Distribution:
 
 
 def _is_header(text: str) -> bool:
-    """Line 1 is a header when it has three fields and one is not a number."""
+    """Line 1, stripped, is a header when it has three fields and one is not a number."""
     parts = text.split(",")
     if len(parts) != 3:
         return False
@@ -218,20 +223,12 @@ def _is_header(text: str) -> bool:
     return False
 
 
-def _data_lines(fh):
-    """The lines that hold samples: no blank or '#' lines, no header on line 1."""
-    for lineno, line in enumerate(fh, start=1):
-        text = line.strip()
-        if text and not text.startswith("#") and not (lineno == 1 and _is_header(text)):
-            yield text
-
-
 def _read_sample_lines(path, fh) -> np.ndarray:
     """Line-by-line reader of the samples as an (n, 3) array."""
     rows = []
     for lineno, line in enumerate(fh, start=1):
         text = line.strip()
-        if not text or text.startswith("#"):
+        if not text or text.startswith("#") or (lineno == 1 and _is_header(text)):
             continue
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 3:
@@ -241,8 +238,6 @@ def _read_sample_lines(path, fh) -> np.ndarray:
         try:
             theta, phi, value = (float(p) for p in parts)
         except ValueError:
-            if lineno == 1:  # tolerate a header row
-                continue
             raise NormalizationError(
                 f"{path}: line {lineno}: non-numeric row"
             ) from None

@@ -170,6 +170,7 @@ class SolveReport:
     dt_final: float
     stop_reason: str  # converged | max_iters | step_collapse
     fallbacks: int  # rejected quasi-Newton trials
+    rejected_steps: int  # dt halvings
     seed: Optional[int] = None
     hypothesis_met: Optional[bool] = None
 
@@ -242,9 +243,10 @@ def _lbfgs_step(res: np.ndarray, pairs: list, solve, sigma: float) -> np.ndarray
     """The two-loop recursion (Nocedal 1980) applied to ``res`` with H0 = ``solve(., sigma)``.
 
     ``pairs`` holds (s, y, 1/(s.y)) oldest first; with no pairs this is the plain
-    semi-implicit step. The work array is freed before the step is returned.
+    semi-implicit step, and ``res`` is read without a copy. The work array is
+    freed before the step is returned.
     """
-    work = res.copy()
+    work = res.copy() if pairs else res
     alphas = []
     for s, y, rho in reversed(pairs):
         alphas.append(rho * np.vdot(s, work))
@@ -260,21 +262,21 @@ def _flow(values: np.ndarray, grid: Grid3, c: float, density, gradient, coeffs: 
           cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
     """Energy-monotone L-BFGS flow of ``_energy(values, grid, c, density)`` on interior nodes.
 
-    The quasi-Newton trial applies the last ``_MEMORY`` pairs (s, y) to the residual
-    ``_residual(values, grid, c, gradient)`` with H0 = (I/dt - c lap_h)^-1. If it would
-    raise the energy beyond roundoff, the memory is dropped (a fallback) and the plain
-    step x solving (I/dt - c lap_h) x = residual is tried, halving dt until it does
-    not. dt starts at 0.9 over the sampled bulk Hessian bound of ``cfg.functional`` at
-    ``coeffs``, the five-coefficient field of ``values``. ``energy_history_monotone``
-    is False if an accepted energy ever rose above the lowest one before it by more
-    than that allowance.
+    Every trial is ``_lbfgs_step``: the last ``_MEMORY`` pairs (s, y) applied to the
+    residual ``_residual(values, grid, c, gradient)`` with H0 = (I/dt - c lap_h)^-1. If
+    a quasi-Newton trial would raise the energy beyond roundoff, the memory is dropped
+    (a fallback) and the plain step x solving (I/dt - c lap_h) x = residual is tried,
+    halving dt (a rejected step) until it does not. dt starts at 0.9 over the sampled
+    bulk Hessian bound of ``cfg.functional`` at ``coeffs``, the five-coefficient field
+    of ``values``. ``energy_history_monotone`` is False if an accepted energy ever rose
+    above the lowest one before it by more than that allowance.
     """
     energy = _energy(values, grid, c, density)
     if not math.isfinite(energy):
         raise DivergenceError("initial field has non-finite energy")
     dt = 0.9 / _sampled_hessian_bound(cfg.functional, coeffs)
     solve = _shifted_solver(grid, c)
-    iterations = fallbacks = 0
+    iterations = fallbacks = rejected_steps = 0
     lowest, monotone = energy, True
     pairs: list = []  # (s, y, 1/(s.y)), oldest first
     res = _residual(values, grid, c, gradient)
@@ -288,27 +290,24 @@ def _flow(values: np.ndarray, grid: Grid3, c: float, density, gradient, coeffs: 
             break
         allowance = _ROUNDOFF_ULPS * np.finfo(float).eps * max(1.0, abs(energy))
         limit = energy + allowance
-        if pairs:
+        # a quasi-Newton trial if there are pairs, then the plain step and up to 60 halvings
+        for _ in range(61 + bool(pairs)):
             step = _lbfgs_step(res, pairs, solve, 1.0 / dt)
             trial = values + step
             trial_energy = _energy(trial, grid, c, density)
-            if not -math.inf < trial_energy <= limit:  # NaN and infinities fail
+            if -math.inf < trial_energy <= limit:  # NaN and infinities fail
+                break
+            if pairs:
                 fallbacks += 1
                 pairs.clear()
-                del step, trial
-        if not pairs:  # no memory yet, or the quasi-Newton trial failed
-            for _ in range(61):  # the first trial and up to 60 halvings
-                step = solve(res, 1.0 / dt)
-                trial = values + step
-                trial_energy = _energy(trial, grid, c, density)
-                if -math.inf < trial_energy <= limit:
-                    break
-                dt *= 0.5
             else:
-                if not math.isfinite(trial_energy):
-                    raise DivergenceError("gradient flow produced a non-finite energy")
-                stop_reason = "step_collapse"
-                break
+                dt *= 0.5
+                rejected_steps += 1
+        else:
+            if not math.isfinite(trial_energy):
+                raise DivergenceError("gradient flow produced a non-finite energy")
+            stop_reason = "step_collapse"
+            break
         monotone = monotone and bool(trial_energy <= lowest + allowance)
         lowest = min(lowest, trial_energy)
         values = trial
@@ -332,6 +331,7 @@ def _flow(values: np.ndarray, grid: Grid3, c: float, density, gradient, coeffs: 
         dt_final=dt,
         stop_reason=stop_reason,
         fallbacks=fallbacks,
+        rejected_steps=rejected_steps,
     )
 
 

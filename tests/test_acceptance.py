@@ -241,11 +241,17 @@ def test_criterion_08_penalized_bound_and_eps_scaling():
     inv6 = 1.0 / np.sqrt(6.0)
     grid = Grid3(17, 17, 17, 1.0, 1.0, 1.0)
     s0 = 0.35 / np.sqrt(2.0 / 3.0)  # boundary norm 0.35 < 1/sqrt(6)
-    for eps in (0.1, 0.05):
+    # iterations, fallbacks, rejected steps, dt_final and final energy of the flow
+    recorded = {0.1: (14, 3, 5, 0.013225624738311927, -469.13469878490775),
+                0.05: (23, 4, 7, 0.003306406184577982, -466.7895386938621)}
+    for eps, (iterations, fallbacks, rejected, dt_final, energy) in recorded.items():
         fun = GLPenalized(m, t, eps)
         cfg = SolverConfig(functional=fun, elastic_l=m.elastic_l, tol_residual=1e-7)
         final, report = minimize(_boundary_field(grid, s0), cfg)
         assert report.converged and report.iterations <= 30
+        assert (report.iterations, report.fallbacks, report.rejected_steps, report.dt_final) == (
+            iterations, fallbacks, rejected, dt_final)
+        assert report.final_energy == pytest.approx(energy, rel=1e-12, abs=0.0)
         bound = gl_bound(m, t, eps)
         max_norm = float(final.norms().max())
         assert max_norm <= bound + 1e-3

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,7 +221,8 @@ def test_minimize_constant_boundary_converges(tmp_path):
     report = json.loads((tmp_path / "solve_report.json").read_text())
     audit = json.loads((tmp_path / "audit.json").read_text())
     assert report["converged"] and report["iterations"] == 0
-    assert (report["stop_reason"], report["fallbacks"]) == ("converged", 0)
+    assert (report["stop_reason"], report["fallbacks"], report["rejected_steps"]) == (
+        "converged", 0, 0)
     assert audit["satisfied"] and audit["regime"] == "LowTemp"
     field = read_field(tmp_path / "field.ldgq")
     # constant up to the harmonic-fill stopping tolerance
@@ -358,6 +360,22 @@ def test_overflowing_material_constants_are_a_config_error(tmp_path, capsys, com
                    + "[temperature]\nstart = 1.0\nstop = 3.0\nstep = 1.0\n")
     assert cli.main(["--out", str(tmp_path), command, "--config", str(cfg)]) == EXIT_PARSE
     assert capsys.readouterr().err.startswith("error: [material]: Material constants overflow")
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("value", ["-1.0", "-1e300"])
+def test_sweeps_reject_a_cold_temperature_alike(tmp_path, capsys, value):
+    # T < 0 lies below the linear law's floor a = -alpha T*; phase used to
+    # write a below-NI row (and overflow at -1e300) where triangles exits 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MATERIAL_KJ + f"[temperature]\nvalue = {value}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("phase", "triangles"):
+            assert cli.main(["--out", str(tmp_path), command, "--config", str(cfg)]) == EXIT_PARSE
+            assert capsys.readouterr().err == (
+                f"error: temperature {float(value)} lies below the absolute-zero equivalent "
+                "of the linear law\n")
     assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))
 
 
@@ -606,14 +624,15 @@ def test_sweep_writers_match_the_per_temperature_oracle(tmp_path_factory, materi
     out = tmp_path_factory.mktemp("sweep")
     cfg = cli.RunConfig(material=m, sweep=sweep)
     temps = _oracle_temperatures(*sweep)
-    assert cli.cmd_phase(cfg, out) == EXIT_OK
-    assert (out / "phase.csv").read_text() == _oracle_phase_csv(m, temps)
     try:
         expected = _oracle_triangles_json(m, temps)
-    except RegimeError as exc:
-        with pytest.raises(RegimeError, match=f"^{re.escape(str(exc))}$"):
-            cli.cmd_triangles(cfg, out)
+    except RegimeError as exc:  # a cold sweep: both commands reject it alike
+        for command in (cli.cmd_phase, cli.cmd_triangles):
+            with pytest.raises(RegimeError, match=f"^{re.escape(str(exc))}$"):
+                command(cfg, out)
     else:
+        assert cli.cmd_phase(cfg, out) == EXIT_OK
+        assert (out / "phase.csv").read_text() == _oracle_phase_csv(m, temps)
         assert cli.cmd_triangles(cfg, out) == EXIT_OK
         assert (out / "triangles.json").read_text() == expected
 

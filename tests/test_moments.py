@@ -283,6 +283,15 @@ def test_load_density_csv_ties_agree_with_loop(tmp_path):
     "0.5,inf,1.0\n",
     "theta,phi,value\n0.5,0.1,2.0\n-inf,0.1,1.0\n",
     "0.5,0.1,2.0\r\n1.2,2.0,0.5\r\n",
+    # the header is line 1 alone: blank, whitespace-only and '#' lines around it
+    "theta,phi,value\n",
+    "theta,phi,value",
+    " theta,phi,value \n0.5,0.1,2.0\n",
+    "\ntheta,phi,value\n0.5,0.1,2.0\n",
+    " \t \ntheta,phi,value\n0.5,0.1,2.0\n",
+    "# c\ntheta,phi,value\n0.5,0.1,2.0\n",
+    " \t \n0.5,0.1,2.0\n\n\n1.2,2.0,0.5",
+    "theta,phi,value,extra\n0.5,0.1,2.0\n",
 ])
 def test_load_density_csv_agrees_with_loop(tmp_path, body):
     path = tmp_path / "density.csv"

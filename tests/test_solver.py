@@ -342,6 +342,61 @@ def test_minimize_reports_step_collapse(monkeypatch):
     monkeypatch.setattr(solver, "_ROUNDOFF_ULPS", -1e300)
     _, report = minimize(init, cfg)
     assert (report.stop_reason, report.converged, report.iterations) == ("step_collapse", False, 0)
+    assert (report.fallbacks, report.rejected_steps) == (0, 61)  # every rejection halved dt
+
+
+def test_every_trial_is_an_lbfgs_step_in_fallback_order():
+    # GL eps = 0.05 on 7^3: the interior turns nematic into the penalty. Each
+    # iteration tries the quasi-Newton step if it holds pairs, then the plain
+    # step at the same dt, then the plain step at halved dt until one is
+    # accepted; the accepted iterate's residual closes the iteration.
+    m = mbba(scale=1e-3)
+    cfg = SolverConfig(functional=GLPenalized(m, 44.0, 0.05), elastic_l=m.elastic_l,
+                       tol_residual=1e-7)
+    s0 = 0.2 * min(stationary_scalars(m, 44.0).s_plus, 1.0)
+    init = harmonic_interior(uniform_boundary_field(Grid3(7, 7, 7, 1.0, 1.0, 1.0), s0))
+    log = []
+    lbfgs_step, residual = solver._lbfgs_step, solver._residual
+
+    def recording_step(res, pairs, solve, sigma):
+        log.append((sigma, len(pairs)))
+        return lbfgs_step(res, pairs, solve, sigma)
+
+    def recording_residual(*args):
+        log.append("accepted")
+        return residual(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_lbfgs_step", recording_step)
+        mp.setattr(solver, "_residual", recording_residual)
+        _, report = minimize(init, cfg)
+    # the values the flow gave before its trials shared one loop
+    assert (report.iterations, report.fallbacks, report.dt_final) == (176, 25, 0.002359479978276608)
+    assert report.final_energy == pytest.approx(-4.3127659109600565, rel=1e-12, abs=0.0)
+    assert report.rejected_steps == 8 and report.converged
+
+    iterations, trials = [], []
+    for entry in log[1:]:  # log[0] is the initial residual
+        if entry == "accepted":
+            iterations.append(trials)
+            trials = []
+        else:
+            trials.append(entry)
+    assert len(iterations) == report.iterations and not trials
+    fallbacks = halvings = 0
+    sigma = iterations[0][0][0]
+    for trials in iterations:
+        assert trials[0][0] == sigma  # dt carries over from the last accepted trial
+        quasi_newton = trials[0][1] > 0
+        plain = trials[1:] if quasi_newton else trials
+        fallbacks += quasi_newton and bool(plain)  # the quasi-Newton trial failed
+        assert all(npairs == 0 for _, npairs in plain)
+        assert [s for s, _ in plain] == [2.0 ** k * sigma for k in range(len(plain))]
+        halvings += max(len(plain) - 1, 0)
+        sigma = trials[-1][0]
+    assert (fallbacks, halvings) == (report.fallbacks, report.rejected_steps)
+    # at least one iteration runs the whole order: quasi-Newton, plain, halved
+    assert any(t[0][1] and len(t) > 2 for t in iterations)
 
 
 def test_uniaxial_fixed_director_constant_boundary():
