@@ -28,6 +28,7 @@ __all__ = [
     "StationaryColumns",
     "CharacteristicTemperatures",
     "a_of_temperature",
+    "linear_law_a",
     "f_bulk",
     "bulk_gradient",
     "nematic_root",
@@ -74,6 +75,23 @@ class Material:
 def a_of_temperature(m: Material, t: float) -> float:
     """Quadratic bulk coefficient a = alpha * (T - T*)."""
     return m.alpha * (t - m.t_star)
+
+
+def linear_law_a(m: Material, t):
+    """a = alpha (T - T*) at each temperature of ``t``, none of them below the law's floor.
+
+    Temperatures with a < -alpha*t_star (below the absolute-zero equivalent of
+    the linear law) are rejected, naming the first one.
+    """
+    t = np.asarray(t)
+    a = a_of_temperature(m, t)
+    cold = np.flatnonzero(a < -m.alpha * m.t_star)
+    if cold.size:
+        raise RegimeError(
+            f"temperature {t.flat[cold[0]].item()} lies below the absolute-zero "
+            "equivalent of the linear law"
+        )
+    return a
 
 
 class BulkFunctional:
@@ -273,17 +291,10 @@ def nematic_root(m: Material, a) -> tuple[np.ndarray, np.ndarray]:
 def stationary_columns(m: Material, t) -> StationaryColumns:
     """Uniaxial stationary points of the quartic bulk density at each temperature of ``t``.
 
-    Temperatures with a < -alpha*t_star (below the absolute-zero equivalent of
-    the linear law) are rejected, naming the first one.
+    Temperatures below the linear law's floor are rejected (``linear_law_a``).
     """
     t = np.asarray(t)
-    a = a_of_temperature(m, t)
-    cold = np.flatnonzero(a < -m.alpha * m.t_star)
-    if cold.size:
-        raise RegimeError(
-            f"temperature {t.flat[cold[0]].item()} lies below the absolute-zero "
-            "equivalent of the linear law"
-        )
+    a = linear_law_a(m, t)
     root, nematic = nematic_root(m, a)
     s_plus = (m.b + root) / (4.0 * m.c)
     s_minus = (m.b - root) / (4.0 * m.c)

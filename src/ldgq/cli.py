@@ -286,11 +286,17 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 
 def build_functional(cfg: RunConfig, temperature: float) -> bulk.BulkFunctional:
-    if cfg.variant == "quartic":
+    """The configured bulk density.
+
+    The quartic and GL densities reject a temperature below the linear law's
+    floor, as ``phase`` and ``triangles`` do.
+    """
+    if cfg.variant in ("quartic", "gl"):
         _require(cfg, "material")
+        bulk.linear_law_a(cfg.material, temperature)
+    if cfg.variant == "quartic":
         return bulk.Quartic(cfg.material, temperature)
     if cfg.variant == "gl":
-        _require(cfg, "material")
         if cfg.gl_eps is None:
             raise ConfigError("[functional] gl variant needs eps")
         return bulk.GLPenalized(cfg.material, temperature, cfg.gl_eps)

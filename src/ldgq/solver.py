@@ -14,16 +14,21 @@ restricted to that line.
 Each step is preconditioned L-BFGS (Nocedal, Math. Comp. 35, 1980; Liu &
 Nocedal, Math. Prog. 45, 1989) with the last m = 2 pairs s (the accepted step)
 and y (the old minus the new residual), Euclidean dot products over the node
-coefficients, and a pair kept only if s.y > 0. Its initial inverse Hessian H0 is
-the semi-implicit gradient-flow step, implicit in the elastic and explicit in
-the bulk term (Eyre 1998; Shen & Yang, DCDS-A 28, 2010),
+coefficients, and a pair kept only if s.y > 0. Its initial inverse Hessian
+H0 = (sigma I - c lap_h)^-1 holds the elastic term exactly and stands in for the
+bulk Hessian with one shift sigma. With sigma = 1/dt it is the semi-implicit
+gradient-flow step, implicit in the elastic and explicit in the bulk term (Eyre
+1998; Shen & Yang, DCDS-A 28, 2010),
 
     Q <- Q + (I/dt - c lap_h)^-1 (c lap_h Q - dF_bulk/dQ),
 
-applied unscaled; with no pairs the step is this flow step. If the quasi-Newton
-trial would raise the energy beyond roundoff, the pairs are dropped and the
-flow step is taken instead, with dt halved until it lowers the energy. Only the
-bulk term limits dt.
+and with no pairs the step is this flow step. A quasi-Newton trial instead takes
+the secant-matched shift sigma_k = (s.y - c edge(s)) / |s|^2 of the newest kept
+pair, the Rayleigh quotient of the bulk Hessian along s (the Barzilai-Borwein
+idea, IMA J. Numer. Anal. 8, 1988, applied to the bulk part only), floored at
+0.1/dt. If that trial would raise the energy beyond roundoff, the pairs are
+dropped and the flow step at 1/dt is taken instead, with dt halved until it
+lowers the energy. Only the bulk term limits dt.
 """
 
 from __future__ import annotations
@@ -57,9 +62,13 @@ __all__ = [
 # near a minimum the true decrease per step drops below float resolution.
 _ROUNDOFF_ULPS = 64.0
 
-# Number of (s, y) pairs the L-BFGS step keeps. Each pair holds two fields; a
-# third pair saved no iteration on a 33^3 relaxation.
+# Number of (s, y) pairs the L-BFGS step keeps. Each pair holds two fields; with
+# the secant-matched H0 shift, m = 3, 5 or 8 saved no iteration on a 33^3
+# relaxation.
 _MEMORY = 2
+
+# Most rows ``SolveReport.trace`` keeps, evenly thinned, first and last included.
+_TRACE_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -171,6 +180,7 @@ class SolveReport:
     stop_reason: str  # converged | max_iters | step_collapse
     fallbacks: int  # rejected quasi-Newton trials
     rejected_steps: int  # dt halvings
+    trace: tuple = ()  # (iteration, energy, residual_maxnorm, H0 shift) rows, thinned
     seed: Optional[int] = None
     hypothesis_met: Optional[bool] = None
 
@@ -258,18 +268,30 @@ def _lbfgs_step(res: np.ndarray, pairs: list, solve, sigma: float) -> np.ndarray
     return step
 
 
+def _bulk_shift(s: np.ndarray, sy: float, grid: Grid3, c: float) -> float:
+    """(s.y - c edge(s)) / |s|^2: the bulk Hessian's Rayleigh quotient along the step ``s``.
+
+    ``s`` is zero on the faces, so c edge(s) = -s.(c lap_h s) is the elastic part
+    of s.y and the rest is s.(dF_bulk/dQ(Q + s) - dF_bulk/dQ(Q)).
+    """
+    return (sy - c * _edge_dirichlet_sum(s, grid)) / float(np.vdot(s, s))
+
+
 def _flow(values: np.ndarray, grid: Grid3, c: float, density, gradient, coeffs: np.ndarray,
           cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
     """Energy-monotone L-BFGS flow of ``_energy(values, grid, c, density)`` on interior nodes.
 
     Every trial is ``_lbfgs_step``: the last ``_MEMORY`` pairs (s, y) applied to the
-    residual ``_residual(values, grid, c, gradient)`` with H0 = (I/dt - c lap_h)^-1. If
-    a quasi-Newton trial would raise the energy beyond roundoff, the memory is dropped
-    (a fallback) and the plain step x solving (I/dt - c lap_h) x = residual is tried,
-    halving dt (a rejected step) until it does not. dt starts at 0.9 over the sampled
-    bulk Hessian bound of ``cfg.functional`` at ``coeffs``, the five-coefficient field
-    of ``values``. ``energy_history_monotone`` is False if an accepted energy ever rose
-    above the lowest one before it by more than that allowance.
+    residual ``_residual(values, grid, c, gradient)`` with H0 = (sigma I - c lap_h)^-1,
+    sigma = max(``_bulk_shift`` of the newest pair, 0.1/dt). If a quasi-Newton trial
+    would raise the energy beyond roundoff, the memory is dropped (a fallback) and the
+    plain step x solving (I/dt - c lap_h) x = residual is tried, halving dt (a rejected
+    step) until it does not. dt starts at 0.9 over the sampled bulk Hessian bound of
+    ``cfg.functional`` at ``coeffs``, the five-coefficient field of ``values``.
+    ``energy_history_monotone`` is False if an accepted energy ever rose above the
+    lowest one before it by more than that allowance. The report's ``trace`` holds
+    (iteration, energy, residual max norm, shift of the accepted trial) for the
+    initial field and each accepted iterate, thinned to ``_TRACE_ROWS`` rows.
     """
     energy = _energy(values, grid, c, density)
     if not math.isfinite(energy):
@@ -279,9 +301,13 @@ def _flow(values: np.ndarray, grid: Grid3, c: float, density, gradient, coeffs: 
     iterations = fallbacks = rejected_steps = 0
     lowest, monotone = energy, True
     pairs: list = []  # (s, y, 1/(s.y)), oldest first
+    bulk_shift = 0.0  # the newest pair's bulk Rayleigh quotient
     res = _residual(values, grid, c, gradient)
+    shift = None  # of the accepted trial; the initial field has none
+    history = []
     while True:
         rmax = _max_node_norm(res)
+        history.append((iterations, energy, rmax, shift))
         if rmax <= cfg.tol_residual:
             stop_reason = "converged"
             break
@@ -292,7 +318,8 @@ def _flow(values: np.ndarray, grid: Grid3, c: float, density, gradient, coeffs: 
         limit = energy + allowance
         # a quasi-Newton trial if there are pairs, then the plain step and up to 60 halvings
         for _ in range(61 + bool(pairs)):
-            step = _lbfgs_step(res, pairs, solve, 1.0 / dt)
+            shift = max(bulk_shift, 0.1 / dt) if pairs else 1.0 / dt
+            step = _lbfgs_step(res, pairs, solve, shift)
             trial = values + step
             trial_energy = _energy(trial, grid, c, density)
             if -math.inf < trial_energy <= limit:  # NaN and infinities fail
@@ -321,6 +348,7 @@ def _flow(values: np.ndarray, grid: Grid3, c: float, density, gradient, coeffs: 
         sy = float(np.vdot(step, y))
         if sy > 0.0 and len(pairs) < _MEMORY:
             pairs.append((step, y, 1.0 / sy))
+            bulk_shift = _bulk_shift(step, sy, grid, c)
         del step, y
     return values, SolveReport(
         iterations=iterations,
@@ -332,7 +360,16 @@ def _flow(values: np.ndarray, grid: Grid3, c: float, density, gradient, coeffs: 
         stop_reason=stop_reason,
         fallbacks=fallbacks,
         rejected_steps=rejected_steps,
+        trace=_thin(history),
     )
+
+
+def _thin(rows: list) -> tuple:
+    """At most ``_TRACE_ROWS`` evenly spaced rows of ``rows``, the first and the last included."""
+    n = len(rows)
+    if n <= _TRACE_ROWS:
+        return tuple(rows)
+    return tuple(rows[i * (n - 1) // (_TRACE_ROWS - 1)] for i in range(_TRACE_ROWS))
 
 
 def minimize(initial: QField, cfg: SolverConfig) -> tuple[QField, SolveReport]:

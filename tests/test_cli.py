@@ -239,6 +239,23 @@ def test_minimize_with_restarts_records_seed(tmp_path):
     assert report["converged"]
 
 
+def test_minimize_outputs_are_byte_identical_and_report_a_trace(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(minimize_config(t=44.0, s0=0.7, nx=7, extra="restarts = 1\n"))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli.main(["--out", str(out), "minimize", "--config", str(cfg)]) == EXIT_OK
+    for name in ("field.ldgq", "solve_report.json", "audit.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    report = json.loads((outs[0] / "solve_report.json").read_text())
+    trace = report["trace"]
+    assert 2 <= len(trace) <= 32 and all(len(row) == 4 for row in trace)
+    assert trace[0][0] == 0 and trace[0][3] is None  # the start has no accepted trial
+    assert trace[-1][:3] == [report["iterations"], report["final_energy"],
+                             report["final_residual_maxnorm"]]
+    assert all(row[3] > 0.0 for row in trace[1:])
+
+
 def test_verify_roundtrip_matches_minimize_audit(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(minimize_config(t=44.5, s0=0.7, nx=7))
@@ -377,6 +394,28 @@ def test_sweeps_reject_a_cold_temperature_alike(tmp_path, capsys, value):
                 f"error: temperature {float(value)} lies below the absolute-zero equivalent "
                 "of the linear law\n")
     assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("value", ["-1.0", "-1e300"])
+@pytest.mark.parametrize("variant", ["quartic", pytest.param("gl\neps = 0.1", id="gl")])
+@pytest.mark.parametrize("command", ["minimize", "verify"])
+def test_solves_and_audits_reject_a_cold_temperature(tmp_path, capsys, value, variant, command):
+    # T < 0 lies below the linear law's floor, as for the sweeps: a LowTemp
+    # audit against its Gamma (2.75 at T = -1) would check nothing physical
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(minimize_config(t=value, s0=0.5, nx=5)
+                   .replace("variant = quartic", f"variant = {variant}"))
+    field = tmp_path / "in.ldgq"
+    grid = Grid3(5, 5, 5, 1.0, 1.0, 1.0)
+    write_field(field, QField.constant(grid, uniaxial_coeffs(0.5, [0, 0, 1])))
+    args = ["minimize"] if command == "minimize" else ["verify", str(field)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--out", str(tmp_path), *args, "--config", str(cfg)]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: temperature {float(value)} lies below the absolute-zero equivalent "
+        "of the linear law\n")
+    assert not list(tmp_path.glob("*.json")) and not (tmp_path / "field.ldgq").exists()
 
 
 @pytest.mark.parametrize("edit", [("s0 = 0.8", "s0 = 0.8\nxlo = 9\ne1 = 1 0 0"),

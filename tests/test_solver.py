@@ -19,7 +19,7 @@ from ldgq import (
     stationary_scalars,
     uniaxial_coeffs,
 )
-from ldgq import solver
+from ldgq import elastic_bound_gamma, solver
 from ldgq.solver import (
     Grid3,
     QField,
@@ -209,6 +209,9 @@ def test_minimize_deterministic_reports():
     final2, rep2 = minimize(init, cfg)
     assert rep1 == rep2
     assert np.array_equal(final1.values, final2.values)
+    # fewer iterates than trace rows: the trace keeps them all
+    assert [row[0] for row in rep1.trace] == list(range(rep1.iterations + 1))
+    assert rep1.trace[-1][1:3] == (rep1.final_energy, rep1.final_residual_maxnorm)
 
 
 def test_minimize_frame_equivariance():
@@ -283,7 +286,7 @@ def _flow_functional(variant, m, t):
     s_frac=st.floats(0.05, 1.0),
     director=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
 )
-# the interior turns nematic into the penalty: 25 quasi-Newton trials fail
+# the interior turns nematic into the penalty: 58 quasi-Newton trials fail
 @example(shape=(7, 7, 7), spacings=(1.0, 1.0, 1.0), variant="gl", s_frac=0.2,
          director=(0.0, 0.0, 1.0))
 def test_lbfgs_steps_descend_to_the_memory_zero_minimizer(shape, spacings, variant, s_frac,
@@ -320,6 +323,62 @@ def test_lbfgs_steps_descend_to_the_memory_zero_minimizer(shape, spacings, varia
     assert plain.fallbacks == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(3, 6)] * 3),
+    spacings=st.tuples(*[st.floats(0.5, 1.5)] * 3),
+    variant=st.sampled_from(["quartic", "gl", "poly"]),
+    seed=st.integers(0, 2**32 - 1),
+    step=st.floats(1e-3, 0.3),
+)
+def test_bulk_shift_is_the_bulk_rayleigh_quotient(shape, spacings, variant, seed, step):
+    # s.y - c edge(s) leaves exactly the bulk part of the secant s.y: the
+    # residual's elastic part is linear in Q, and s is zero on the faces
+    m = mbba(scale=1e-3)
+    fun = _flow_functional(variant, m, 44.0)
+    grid = Grid3(*shape, *spacings)
+    c = 2.0 * m.elastic_l
+    rng = np.random.default_rng(seed)
+    q = 0.4 * rng.standard_normal(grid.shape + (5,))
+    s = step * rng.standard_normal(grid.shape + (5,))
+    s[_face_mask(grid.shape)] = 0.0
+    r0, r1 = (solver._residual(v, grid, c, fun.gradient) for v in (q, q + s))
+    ss = float(np.vdot(s, s))
+    bulk = float(np.vdot(s, fun.gradient(q + s) - fun.gradient(q))) / ss
+    shift = solver._bulk_shift(s, float(np.vdot(s, r0 - r1)), grid, c)
+    # roundoff of the terms that cancel in s.y
+    cancel = float(np.vdot(abs(s), abs(r0) + abs(r1))) + c * solver._edge_dirichlet_sum(s, grid)
+    assert shift == pytest.approx(bulk, rel=0.0, abs=8 * np.finfo(float).eps * cancel / ss)
+
+
+def test_low_temperature_relaxation_iteration_counts():
+    # The benchmark's 33^3 low-temperature relaxation (quartic, T = 44 < T*,
+    # h = 1, s0 = 0.9 min(s_plus, 1), the director its seed 5 draws) shrunk to
+    # 17^3, where the bulk term dominates the Hessian. All three solves reach
+    # the same minimum.
+    m = mbba(scale=1e-3)
+    cfg = SolverConfig(functional=Quartic(m, 44.0), elastic_l=m.elastic_l, tol_residual=1e-7)
+    director = np.random.default_rng([5, 33]).standard_normal(3)
+    director /= np.linalg.norm(director)
+    s0 = 0.9 * min(stationary_scalars(m, 44.0).s_plus, 1.0)
+    grid = Grid3(17, 17, 17, 1.0, 1.0, 1.0)
+    init = harmonic_interior(uniform_boundary_field(grid, s0, director))
+    # cold start from the harmonic fill
+    _, cold = minimize(init, cfg)
+    # the start of a restart: the fill perturbed by a tenth of Gamma, seed 11
+    interior = ~init.boundary_mask
+    values = init.values.copy()
+    rng = np.random.default_rng(11)
+    values[interior] += 0.1 * elastic_bound_gamma(m, 44.0) * rng.standard_normal(
+        values[interior].shape)
+    _, perturbed = minimize(init.with_values(values), cfg)
+    # the scalar solve along the boundary's own director
+    _, fixed = minimize_uniaxial_fixed_director(grid, s0, director, cfg)
+    for report, most in ((cold, 8), (perturbed, 43), (fixed, 8)):
+        assert report.converged and report.iterations <= most
+        assert report.final_energy == pytest.approx(-1076.4185552189185, rel=1e-12, abs=0.0)
+
+
 def test_stiff_penalty_forces_fallbacks_and_still_converges():
     # At eps = 0.05 the penalty's curvature outgrows the first dt, so some
     # quasi-Newton trials raise the energy; each drops the memory and the
@@ -354,12 +413,19 @@ def test_every_trial_is_an_lbfgs_step_in_fallback_order():
     cfg = SolverConfig(functional=GLPenalized(m, 44.0, 0.05), elastic_l=m.elastic_l,
                        tol_residual=1e-7)
     s0 = 0.2 * min(stationary_scalars(m, 44.0).s_plus, 1.0)
-    init = harmonic_interior(uniform_boundary_field(Grid3(7, 7, 7, 1.0, 1.0, 1.0), s0))
+    grid = Grid3(7, 7, 7, 1.0, 1.0, 1.0)
+    init = harmonic_interior(uniform_boundary_field(grid, s0))
     log = []
     lbfgs_step, residual = solver._lbfgs_step, solver._residual
 
     def recording_step(res, pairs, solve, sigma):
-        log.append((sigma, len(pairs)))
+        # the newest pair's bulk shift, from which a quasi-Newton trial takes its own
+        if pairs:
+            s, _, rho = pairs[-1]
+            bulk = solver._bulk_shift(s, 1.0 / rho, grid, 2.0 * m.elastic_l)
+        else:
+            bulk = None
+        log.append((sigma, len(pairs), bulk))
         return lbfgs_step(res, pairs, solve, sigma)
 
     def recording_residual(*args):
@@ -370,8 +436,7 @@ def test_every_trial_is_an_lbfgs_step_in_fallback_order():
         mp.setattr(solver, "_lbfgs_step", recording_step)
         mp.setattr(solver, "_residual", recording_residual)
         _, report = minimize(init, cfg)
-    # the values the flow gave before its trials shared one loop
-    assert (report.iterations, report.fallbacks, report.dt_final) == (176, 25, 0.002359479978276608)
+    assert (report.iterations, report.fallbacks, report.dt_final) == (161, 58, 0.002359479978276608)
     assert report.final_energy == pytest.approx(-4.3127659109600565, rel=1e-12, abs=0.0)
     assert report.rejected_steps == 8 and report.converged
 
@@ -383,20 +448,35 @@ def test_every_trial_is_an_lbfgs_step_in_fallback_order():
         else:
             trials.append(entry)
     assert len(iterations) == report.iterations and not trials
-    fallbacks = halvings = 0
-    sigma = iterations[0][0][0]
+    fallbacks = halvings = above_floor = 0
+    inv_dt = iterations[0][0][0]
     for trials in iterations:
-        assert trials[0][0] == sigma  # dt carries over from the last accepted trial
         quasi_newton = trials[0][1] > 0
+        if quasi_newton:  # max(sigma_k, 0.1/dt); dt carries over from the last plain trial
+            sigma, _, bulk = trials[0]
+            assert sigma == pytest.approx(max(bulk, 0.1 * inv_dt), rel=1e-12, abs=0.0)
+            above_floor += bulk > 0.1 * inv_dt
         plain = trials[1:] if quasi_newton else trials
         fallbacks += quasi_newton and bool(plain)  # the quasi-Newton trial failed
-        assert all(npairs == 0 for _, npairs in plain)
-        assert [s for s, _ in plain] == [2.0 ** k * sigma for k in range(len(plain))]
+        assert all(npairs == 0 for _, npairs, _ in plain)
+        assert [s for s, _, _ in plain] == [2.0 ** k * inv_dt for k in range(len(plain))]
         halvings += max(len(plain) - 1, 0)
-        sigma = trials[-1][0]
+        inv_dt = plain[-1][0] if plain else inv_dt
     assert (fallbacks, halvings) == (report.fallbacks, report.rejected_steps)
     # at least one iteration runs the whole order: quasi-Newton, plain, halved
     assert any(t[0][1] and len(t) > 2 for t in iterations)
+    # the trace thins the 162 iterates to 32 rows, each with its accepted trial's shift
+    trace = report.trace
+    assert len(trace) == solver._TRACE_ROWS
+    assert trace[0][0] == 0 and trace[0][3] is None
+    assert trace[-1] == (report.iterations, report.final_energy, report.final_residual_maxnorm,
+                         iterations[-1][-1][0])
+    gaps = {b[0] - a[0] for a, b in zip(trace, trace[1:])}
+    assert gaps == {5, 6}  # 161 iterations in 31 even gaps
+    for k, _, _, shift in trace[1:]:
+        assert shift == iterations[k - 1][-1][0]
+    # the secant shift and its floor both set some quasi-Newton trial
+    assert 0 < above_floor < sum(t[0][1] > 0 for t in iterations)
 
 
 def test_uniaxial_fixed_director_constant_boundary():
