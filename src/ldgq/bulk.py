@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import RegimeError
-from .qtensor import QTensor, square_coeffs, trace_invariants
+from .qtensor import QTensor, square_coeffs
 
 __all__ = [
     "Material",
@@ -94,38 +94,44 @@ def linear_law_a(m: Material, t):
     return a
 
 
+def _power(x, k: int):  # x**k, without an array operation for k = 0 and 1
+    return 1.0 if k == 0 else x if k == 1 else x**k
+
+
 class BulkFunctional:
     """Density a2 tr Q^2 + sum of co (tr Q^2)^m (tr Q^3)^p over the ``terms`` (m, p, co).
 
     Subclasses supply ``a2`` and ``terms``; ``GLPenalized`` wraps its quartic instead.
+    ``density`` and ``gradient`` take (..., 5) views of the one kernel on arrays (5, ...).
     """
+
+    def density_and_gradient(self, q) -> tuple[np.ndarray, np.ndarray]:
+        """Density, shape (...), and its gradient, shape (5, ...), for coefficients (5, ...).
+
+        The gradient is exact (to roundoff), from d tr Q^2 = 2 c and d tr Q^3 = 3 Q^2; the
+        basis spans only traceless matrices, so the trace constraint never enters.
+        """
+        sq = square_coeffs(q, axis=0)
+        tr2 = np.einsum("c...,c...->...", q, q)
+        tr3 = np.einsum("c...,c...->...", q, sq)
+        dens = self.a2 * tr2
+        grad = 2.0 * self.a2 * q
+        for m, p, co in self.terms:
+            dens += co * _power(tr2, m) * _power(tr3, p)
+            if m:
+                grad += (2.0 * m * co) * (_power(tr2, m - 1) * _power(tr3, p)) * q
+            if p:
+                grad += (3.0 * p * co) * (_power(tr2, m) * _power(tr3, p - 1)) * sq
+        return dens, grad
 
     def density(self, coeffs) -> np.ndarray:
         """Bulk energy density for coefficient arrays of shape (..., 5)."""
-        tr2, tr3 = trace_invariants(coeffs)
-        out = self.a2 * tr2
-        for m, p, co in self.terms:
-            out = out + co * tr2**m * tr3**p
-        return out
+        return self.density_and_gradient(np.moveaxis(np.asarray(coeffs, dtype=float), -1, 0))[0]
 
     def gradient(self, coeffs) -> np.ndarray:
-        """Traceless-projected derivative of the density, shape (..., 5).
-
-        Exact (to roundoff) gradient of ``density`` in the basis coefficients,
-        from d tr Q^2 = 2 c and d tr Q^3 = 3 square_coeffs(c); the trace
-        constraint never enters because the basis spans only traceless matrices.
-        """
-        c = np.asarray(coeffs, dtype=float)
-        sq = square_coeffs(c)
-        tr2 = np.einsum("...c,...c->...", c, c)
-        tr3 = np.einsum("...c,...c->...", c, sq)
-        out = 2.0 * self.a2 * c
-        for m, p, co in self.terms:
-            if m:
-                out = out + (2.0 * m * co) * (tr2 ** (m - 1) * tr3**p)[..., None] * c
-            if p:
-                out = out + (3.0 * p * co) * (tr2**m * tr3 ** (p - 1))[..., None] * sq
-        return out
+        """Traceless-projected derivative of the density, shape (..., 5)."""
+        q = np.moveaxis(np.asarray(coeffs, dtype=float), -1, 0)
+        return np.moveaxis(self.density_and_gradient(q)[1], 0, -1)
 
 
 @dataclass(frozen=True)
@@ -214,17 +220,10 @@ class GLPenalized(BulkFunctional):
     def quartic(self) -> Quartic:
         return Quartic(self.material, self.temperature)
 
-    def density(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
-        excess = np.maximum(np.einsum("...c,...c->...", c, c) - 1.0 / 6.0, 0.0)
-        return self.quartic.density(c) + excess * excess / self.eps**2
-
-    def gradient(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
-        tr2 = np.einsum("...c,...c->...", c, c)
-        excess = np.maximum(tr2 - 1.0 / 6.0, 0.0)
-        pen = (4.0 / self.eps**2) * excess
-        return self.quartic.gradient(c) + pen[..., None] * c
+    def density_and_gradient(self, q):
+        dens, grad = self.quartic.density_and_gradient(q)
+        excess = np.maximum(np.einsum("c...,c...->...", q, q) - 1.0 / 6.0, 0.0)
+        return dens + excess * excess / self.eps**2, grad + ((4.0 / self.eps**2) * excess) * q
 
 
 def f_bulk(fun: BulkFunctional, q: QTensor) -> float:

@@ -69,20 +69,21 @@ def matrices_to_coeffs(mats) -> np.ndarray:
     return np.einsum("...ij,cij->...c", np.asarray(mats, dtype=float), BASIS)
 
 
-def square_coeffs(coeffs) -> np.ndarray:
-    """Basis coefficients of Q^2 (its traceless part) for coefficients of shape (..., 5).
+def square_coeffs(coeffs, axis: int = -1) -> np.ndarray:
+    """Basis coefficients of Q^2 (its traceless part), with the five coefficients along ``axis``.
 
     Component k is sum_ab c_a c_b tr(B_a B_b B_k), written out in 16 monomials.
     """
     r6, r2 = 1.0 / np.sqrt(6.0), 1.0 / np.sqrt(2.0)
-    c0, c1, c2, c3, c4 = np.moveaxis(np.asarray(coeffs, dtype=float), -1, 0)
-    out = np.empty(np.shape(c0) + (5,))
-    out[..., 0] = r6 * (c0 * c0 - c1 * c1 - c2 * c2 + 0.5 * (c3 * c3 + c4 * c4))
-    out[..., 1] = (0.5 * r2) * (c3 * c3 - c4 * c4) - (2.0 * r6) * c0 * c1
-    out[..., 2] = r2 * c3 * c4 - (2.0 * r6) * c0 * c2
-    out[..., 3] = r6 * c0 * c3 + r2 * (c1 * c3 + c2 * c4)
-    out[..., 4] = r6 * c0 * c4 + r2 * (c2 * c3 - c1 * c4)
-    return out
+    c = np.moveaxis(np.asarray(coeffs, dtype=float), axis, 0)
+    c0, c1, c2, c3, c4 = c
+    out = np.empty_like(c)  # in the memory layout of c
+    out[0] = r6 * (c0 * c0 - c1 * c1 - c2 * c2 + 0.5 * (c3 * c3 + c4 * c4))
+    out[1] = (0.5 * r2) * (c3 * c3 - c4 * c4) - (2.0 * r6) * c0 * c1
+    out[2] = r2 * c3 * c4 - (2.0 * r6) * c0 * c2
+    out[3] = r6 * c0 * c3 + r2 * (c1 * c3 + c2 * c4)
+    out[4] = r6 * c0 * c4 + r2 * (c2 * c3 - c1 * c4)
+    return np.moveaxis(out, 0, axis)
 
 
 def trace_invariants(coeffs) -> tuple[np.ndarray, np.ndarray]:

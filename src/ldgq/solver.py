@@ -28,7 +28,9 @@ pair, the Rayleigh quotient of the bulk Hessian along s (the Barzilai-Borwein
 idea, IMA J. Numer. Anal. 8, 1988, applied to the bulk part only), floored at
 0.1/dt. If that trial would raise the energy beyond roundoff, the pairs are
 dropped and the flow step at 1/dt is taken instead, with dt halved until it
-lowers the energy. Only the bulk term limits dt.
+lowers the energy. Only the bulk term limits dt. The descent keeps one contiguous
+component-major (ncomp, nx, ny, nz) array, and each trial makes one pass that gives
+both its energy and its residual (``_energy_and_residual``).
 """
 
 from __future__ import annotations
@@ -106,10 +108,8 @@ class Grid3:
 
 
 def _face_mask(shape: tuple[int, int, int]) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    mask[0, :, :] = mask[-1, :, :] = True
-    mask[:, 0, :] = mask[:, -1, :] = True
-    mask[:, :, 0] = mask[:, :, -1] = True
+    mask = np.ones(shape, dtype=bool)
+    mask[1:-1, 1:-1, 1:-1] = False
     mask.setflags(write=False)
     return mask
 
@@ -176,6 +176,7 @@ class SolveReport:
     final_residual_maxnorm: float
     converged: bool
     energy_history_monotone: bool
+    dt_initial: float  # dt never grows, so [dt_final, dt_initial] is the range used
     dt_final: float
     stop_reason: str  # converged | max_iters | step_collapse
     fallbacks: int  # rejected quasi-Newton trials
@@ -185,39 +186,51 @@ class SolveReport:
     hypothesis_met: Optional[bool] = None
 
 
-def _laplacian(values: np.ndarray, grid: Grid3) -> np.ndarray:
-    """7-point Laplacian; entries are only meaningful at interior nodes."""
-    lap = np.zeros_like(values)
-    lap[1:-1, :, :] += (values[2:, :, :] - 2.0 * values[1:-1, :, :] + values[:-2, :, :]) / grid.hx**2
-    lap[:, 1:-1, :] += (values[:, 2:, :] - 2.0 * values[:, 1:-1, :] + values[:, :-2, :]) / grid.hy**2
-    lap[:, :, 1:-1] += (values[:, :, 2:] - 2.0 * values[:, :, 1:-1] + values[:, :, :-2]) / grid.hz**2
-    return lap
+_INTERIOR = (slice(None), slice(1, -1), slice(1, -1), slice(1, -1))  # of (ncomp, nx, ny, nz)
 
 
-def _edge_dirichlet_sum(values: np.ndarray, grid: Grid3) -> float:
-    """Sum over lattice edges of the squared difference quotient."""
-    total = np.sum(((values[1:, :, :] - values[:-1, :, :]) / grid.hx) ** 2)
-    total += np.sum(((values[:, 1:, :] - values[:, :-1, :]) / grid.hy) ** 2)
-    total += np.sum(((values[:, :, 1:] - values[:, :, :-1]) / grid.hz) ** 2)
-    return float(total)
+def _edge_dirichlet_sum(q: np.ndarray, grid: Grid3, lap: Optional[np.ndarray] = None) -> float:
+    """Sum over lattice edges of the squared difference quotient of a (ncomp, nx, ny, nz) field.
+
+    Adds the 7-point Laplacian at the interior nodes into ``lap``, if given: per axis,
+    the difference quotient of the same edge differences.
+    """
+    total = 0.0
+    for axis, h in enumerate((grid.hx, grid.hy, grid.hz), start=1):
+        d = np.diff(q, axis=axis)
+        total += float(np.vdot(d, d)) / h**2
+        if lap is not None:
+            d /= h**2
+            lap += d[_INTERIOR[:axis] + (slice(1, None),) + _INTERIOR[axis + 1:]]
+            lap -= d[_INTERIOR[:axis] + (slice(None, -1),) + _INTERIOR[axis + 1:]]
+        del d  # before the next axis allocates, so that it reuses the memory
+    return total
 
 
-def _energy(values: np.ndarray, grid: Grid3, c: float, density) -> float:
-    """Node volume times (bulk density sum + (c/2) * edge Dirichlet sum)."""
-    return grid.node_volume * (float(np.sum(density(values)))
-                               + 0.5 * c * _edge_dirichlet_sum(values, grid))
+def _energy_and_residual(q: np.ndarray, grid: Grid3, c: float, bulk) -> tuple[float, np.ndarray]:
+    """Energy and residual of a component-major (ncomp, nx, ny, nz) field in one pass.
+
+    ``bulk`` maps q to (density, gradient). The energy is node volume times (density sum +
+    (c/2) edge Dirichlet sum); the residual c lap_h q - gradient, zero on the faces, is
+    minus its gradient per node volume.
+    """
+    density, gradient = bulk(q)
+    lap = np.zeros((q.shape[0], grid.nx - 2, grid.ny - 2, grid.nz - 2))
+    edge = _edge_dirichlet_sum(q, grid, lap)
+    lap *= c
+    res = np.zeros(q.shape)
+    np.subtract(lap, gradient[_INTERIOR], out=res[_INTERIOR])
+    return grid.node_volume * (float(np.sum(density)) + 0.5 * c * edge), res
 
 
-def _residual(values: np.ndarray, grid: Grid3, c: float, gradient) -> np.ndarray:
-    """c lap_h - gradient, zero on the faces: minus the energy gradient per node volume."""
-    res = c * _laplacian(values, grid) - gradient(values)
-    res[_face_mask(grid.shape)] = 0.0
-    return res
+def _field_pass(field: QField, cfg: SolverConfig) -> tuple[float, np.ndarray]:
+    return _energy_and_residual(np.moveaxis(field.values, -1, 0).copy(), field.grid,
+                                2.0 * cfg.elastic_l, cfg.functional.density_and_gradient)
 
 
 def discrete_energy(field: QField, cfg: SolverConfig) -> float:
     """Rectangle-rule energy: node volume times (bulk density sum + L * edge Dirichlet sum)."""
-    return _energy(field.values, field.grid, 2.0 * cfg.elastic_l, cfg.functional.density)
+    return _field_pass(field, cfg)[0]
 
 
 def el_residual(field: QField, cfg: SolverConfig) -> np.ndarray:
@@ -226,27 +239,21 @@ def el_residual(field: QField, cfg: SolverConfig) -> np.ndarray:
     Equals minus the gradient of ``discrete_energy`` with respect to the node
     coefficients divided by the node volume, exactly, at every interior node.
     """
-    return _residual(field.values, field.grid, 2.0 * cfg.elastic_l, cfg.functional.gradient)
+    return np.moveaxis(_field_pass(field, cfg)[1], 0, -1).copy()
 
 
-def _max_node_norm(arr: np.ndarray) -> float:
-    return float(np.sqrt(np.einsum("...c,...c->...", arr, arr).max()))
+def _max_node_norm(q: np.ndarray) -> float:
+    return float(np.sqrt(np.einsum("c...,c...->...", q, q).max()))
 
 
 def _sampled_hessian_bound(fun: BulkFunctional, values: np.ndarray) -> float:
     """Directional finite-difference bound on the bulk Hessian over sampled nodes."""
     flat = values.reshape(-1, values.shape[-1])
-    idx = np.unique(np.linspace(0, flat.shape[0] - 1, 64).astype(int))
-    sample = flat[idx]
+    sample = flat[np.unique(np.linspace(0, flat.shape[0] - 1, 64).astype(int))]
     scale = 1e-4 * (1.0 + np.sqrt(np.einsum("nc,nc->n", sample, sample)))
-    bound = 0.0
-    for c in range(sample.shape[1]):
-        step = np.zeros_like(sample)
-        step[:, c] = scale
-        diff = fun.gradient(sample + step) - fun.gradient(sample - step)
-        est = np.sqrt(np.einsum("nc,nc->n", diff, diff)) / (2.0 * scale)
-        bound = max(bound, float(est.max()))
-    return 1.5 * bound
+    step = np.eye(sample.shape[1])[:, None, :] * scale[:, None]  # [c, n] = scale[n] e_c
+    diff = fun.gradient(sample + step) - fun.gradient(sample - step)
+    return 1.5 * float((np.sqrt(np.einsum("cnd,cnd->cn", diff, diff)) / (2.0 * scale)).max())
 
 
 def _lbfgs_step(res: np.ndarray, pairs: list, solve, sigma: float) -> np.ndarray:
@@ -277,32 +284,33 @@ def _bulk_shift(s: np.ndarray, sy: float, grid: Grid3, c: float) -> float:
     return (sy - c * _edge_dirichlet_sum(s, grid)) / float(np.vdot(s, s))
 
 
-def _flow(values: np.ndarray, grid: Grid3, c: float, density, gradient, coeffs: np.ndarray,
+def _flow(values: np.ndarray, grid: Grid3, c: float, bulk, coeffs: np.ndarray,
           cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
-    """Energy-monotone L-BFGS flow of ``_energy(values, grid, c, density)`` on interior nodes.
+    """Energy-monotone L-BFGS flow of ``values`` (nx, ny, nz, ncomp) on interior nodes.
 
-    Every trial is ``_lbfgs_step``: the last ``_MEMORY`` pairs (s, y) applied to the
-    residual ``_residual(values, grid, c, gradient)`` with H0 = (sigma I - c lap_h)^-1,
-    sigma = max(``_bulk_shift`` of the newest pair, 0.1/dt). If a quasi-Newton trial
-    would raise the energy beyond roundoff, the memory is dropped (a fallback) and the
-    plain step x solving (I/dt - c lap_h) x = residual is tried, halving dt (a rejected
-    step) until it does not. dt starts at 0.9 over the sampled bulk Hessian bound of
+    It runs on a component-major (ncomp, nx, ny, nz) copy. Every trial is one
+    ``_lbfgs_step`` (the last ``_MEMORY`` pairs (s, y) applied to the residual with
+    H0 = (sigma I - c lap_h)^-1, sigma = max(``_bulk_shift`` of the newest pair, 0.1/dt))
+    and one ``_energy_and_residual`` pass with ``bulk``. If a quasi-Newton trial would
+    raise the energy beyond roundoff, the memory is dropped (a fallback) and the plain
+    step x solving (I/dt - c lap_h) x = residual is tried, halving dt (a rejected step)
+    until it does not. dt starts at 0.9 over the sampled bulk Hessian bound of
     ``cfg.functional`` at ``coeffs``, the five-coefficient field of ``values``.
     ``energy_history_monotone`` is False if an accepted energy ever rose above the
     lowest one before it by more than that allowance. The report's ``trace`` holds
     (iteration, energy, residual max norm, shift of the accepted trial) for the
     initial field and each accepted iterate, thinned to ``_TRACE_ROWS`` rows.
     """
-    energy = _energy(values, grid, c, density)
+    q = np.moveaxis(values, -1, 0).copy()
+    energy, res = _energy_and_residual(q, grid, c, bulk)
     if not math.isfinite(energy):
         raise DivergenceError("initial field has non-finite energy")
-    dt = 0.9 / _sampled_hessian_bound(cfg.functional, coeffs)
+    dt = dt_initial = 0.9 / _sampled_hessian_bound(cfg.functional, coeffs)
     solve = _shifted_solver(grid, c)
     iterations = fallbacks = rejected_steps = 0
     lowest, monotone = energy, True
     pairs: list = []  # (s, y, 1/(s.y)), oldest first
     bulk_shift = 0.0  # the newest pair's bulk Rayleigh quotient
-    res = _residual(values, grid, c, gradient)
     shift = None  # of the accepted trial; the initial field has none
     history = []
     while True:
@@ -320,8 +328,8 @@ def _flow(values: np.ndarray, grid: Grid3, c: float, density, gradient, coeffs: 
         for _ in range(61 + bool(pairs)):
             shift = max(bulk_shift, 0.1 / dt) if pairs else 1.0 / dt
             step = _lbfgs_step(res, pairs, solve, shift)
-            trial = values + step
-            trial_energy = _energy(trial, grid, c, density)
+            trial = q + step
+            trial_energy, trial_res = _energy_and_residual(trial, grid, c, bulk)
             if -math.inf < trial_energy <= limit:  # NaN and infinities fail
                 break
             if pairs:
@@ -337,25 +345,26 @@ def _flow(values: np.ndarray, grid: Grid3, c: float, density, gradient, coeffs: 
             break
         monotone = monotone and bool(trial_energy <= lowest + allowance)
         lowest = min(lowest, trial_energy)
-        values = trial
+        q = trial
         energy = trial_energy
         iterations += 1
         if len(pairs) == _MEMORY:
-            del pairs[:1]  # the oldest, before the new residual is allocated
+            del pairs[:1]
         y = res
-        res = _residual(values, grid, c, gradient)
-        y -= res
+        y -= trial_res
+        res = trial_res
         sy = float(np.vdot(step, y))
         if sy > 0.0 and len(pairs) < _MEMORY:
             pairs.append((step, y, 1.0 / sy))
             bulk_shift = _bulk_shift(step, sy, grid, c)
         del step, y
-    return values, SolveReport(
+    return np.moveaxis(q, 0, -1).copy(), SolveReport(
         iterations=iterations,
         final_energy=energy,
         final_residual_maxnorm=rmax,
         converged=stop_reason == "converged",
         energy_history_monotone=monotone,
+        dt_initial=dt_initial,
         dt_final=dt,
         stop_reason=stop_reason,
         fallbacks=fallbacks,
@@ -380,20 +389,13 @@ def minimize(initial: QField, cfg: SolverConfig) -> tuple[QField, SolveReport]:
     ``cfg.tol_residual``; hitting ``max_iters`` or a collapsed step returns the
     best (latest) iterate with ``converged`` False, and ``stop_reason`` says which.
     """
-    if not math.isfinite(discrete_energy(initial, cfg)):
-        raise DivergenceError("initial field has non-finite energy")
-    fun = cfg.functional
-    values, report = _flow(initial.values.copy(), initial.grid, 2.0 * cfg.elastic_l,
-                           fun.density, fun.gradient, initial.values, cfg)
+    values, report = _flow(initial.values, initial.grid, 2.0 * cfg.elastic_l,
+                           cfg.functional.density_and_gradient, initial.values, cfg)
     return initial.with_values(values), report
 
 
-def minimize_uniaxial_fixed_director(
-    grid: Grid3,
-    s_boundary,
-    director,
-    cfg: SolverConfig,
-) -> tuple[np.ndarray, SolveReport]:
+def minimize_uniaxial_fixed_director(grid: Grid3, s_boundary, director,
+                                     cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
     """Minimize over uniaxial fields s(x) (n x n - I/3) with a fixed director n.
 
     ``s_boundary`` is a constant or an (nx, ny, nz) array whose face entries
@@ -403,31 +405,25 @@ def minimize_uniaxial_fixed_director(
     pointwise (only checkable for the quartic functional); the run proceeds
     either way.
     """
-    mask = _face_mask(grid.shape)
-    s = np.zeros(grid.shape)
     s_boundary = np.broadcast_to(np.asarray(s_boundary, dtype=float), grid.shape)
-    s[mask] = s_boundary[mask]
-    s[~mask] = float(s_boundary[mask].mean())
+    bvals = s_boundary[_face_mask(grid.shape)]
+    s = s_boundary.copy()
+    s[1:-1, 1:-1, 1:-1] = float(bvals.mean())
 
     fun = cfg.functional
     base = uniaxial_coeffs(1.0, director)
 
     hypothesis: Optional[bool] = None
     if isinstance(fun, Quartic):
-        rep = stationary_scalars(fun.material, fun.temperature)
-        if rep.s_plus is None:
-            hypothesis = False
-        else:
-            cap = min(rep.s_plus, 1.0)
-            bvals = s_boundary[mask]
-            hypothesis = bool((bvals > 0.0).all() and (bvals < cap).all())
+        s_plus = stationary_scalars(fun.material, fun.temperature).s_plus
+        hypothesis = s_plus is not None and bool(
+            (bvals > 0.0).all() and (bvals < min(s_plus, 1.0)).all())
 
-    # the scalar order parameter rides along as a single trailing component
-    def gradient(svals):
-        return np.einsum("...c,c->...", fun.gradient(svals * base), base)[..., None]
+    def bulk(svals):  # the one component s of Q = s base; the gradient projected onto base
+        density, gradient = fun.density_and_gradient(svals * base[:, None, None, None])
+        return density, np.tensordot(base, gradient, axes=1)[None]
 
-    values, report = _flow(s[..., None], grid, (4.0 / 3.0) * cfg.elastic_l,
-                           lambda svals: fun.density(svals * base), gradient,
+    values, report = _flow(s[..., None], grid, (4.0 / 3.0) * cfg.elastic_l, bulk,
                            s[..., None] * base, cfg)
     return values[..., 0].copy(), replace(report, hypothesis_met=hypothesis)
 
@@ -442,21 +438,24 @@ def _shifted_solver(grid: Grid3, c: float):
 
     Fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964) in the eigenbasis
     of the three axes' 1-D Dirichlet second differences, computed once here. ``b`` is
-    (nx, ny, nz, ncomp); its face entries are ignored and x is zero on the faces.
+    component-major (ncomp, nx, ny, nz); its face entries are ignored and x is zero on
+    the faces.
     """
     (lx, vx), (ly, vy), (lz, vz) = (
         _dirichlet_eigh(n - 2, h) for n, h in zip(grid.shape, (grid.hx, grid.hy, grid.hz)))
-    lam = (-c * (lx[:, None, None] + ly[:, None] + lz))[..., None]
+    lam = -c * (lx[:, None, None] + ly[:, None] + lz)
 
-    def apply(u, ax, ay, az):  # one axis at a time, each contraction a plain matmul
-        mx, my, mz, n = u.shape
-        u = (ay @ (ax @ u.reshape(mx, -1)).reshape(mx, my, mz * n)).reshape(mx * my, mz, n)
-        return (az @ u).reshape(mx, my, mz, n)
+    def apply(u, ax, ay, az):  # one axis at a time: batched x and y matmuls, one z GEMM
+        n, mx, my, mz = u.shape
+        u = (ax @ u.reshape(n, mx, my * mz)).reshape(n * mx, my, mz)
+        u = (ay @ u).reshape(n * mx * my, mz)
+        return (u @ az.T).reshape(n, mx, my, mz)
 
     def solve(b: np.ndarray, sigma: float) -> np.ndarray:
+        hat = apply(b[_INTERIOR], vx.T, vy.T, vz.T)
+        hat /= sigma + lam
         x = np.zeros(b.shape)
-        hat = apply(b[1:-1, 1:-1, 1:-1], vx.T, vy.T, vz.T) / (sigma + lam)
-        x[1:-1, 1:-1, 1:-1] = apply(hat, vx, vy, vz)
+        x[_INTERIOR] = apply(hat, vx, vy, vz)
         return x
 
     return solve
@@ -468,11 +467,12 @@ def harmonic_interior(field: QField) -> QField:
     Solves the 7-point Laplace equation exactly (the shifted solver at sigma = 0,
     boundary values moved to the right-hand side); boundary bits are unchanged.
     """
-    values = field.values.copy()
-    values[1:-1, 1:-1, 1:-1] = 0.0
-    x = _shifted_solver(field.grid, 1.0)(_laplacian(values, field.grid), 0.0)
-    values[1:-1, 1:-1, 1:-1] = x[1:-1, 1:-1, 1:-1]
-    return field.with_values(values)
+    q = np.moveaxis(field.values, -1, 0).copy()
+    q[_INTERIOR] = 0.0
+    lap = np.zeros(q.shape)
+    _edge_dirichlet_sum(q, field.grid, lap[_INTERIOR])
+    q[_INTERIOR] = _shifted_solver(field.grid, 1.0)(lap, 0.0)[_INTERIOR]
+    return field.with_values(np.moveaxis(q, 0, -1).copy())
 
 
 def write_field(path, field: QField) -> None:

@@ -223,6 +223,7 @@ def test_minimize_constant_boundary_converges(tmp_path):
     assert report["converged"] and report["iterations"] == 0
     assert (report["stop_reason"], report["fallbacks"], report["rejected_steps"]) == (
         "converged", 0, 0)
+    assert report["dt_initial"] == report["dt_final"] > 0.0  # no step, no halving
     assert audit["satisfied"] and audit["regime"] == "LowTemp"
     field = read_field(tmp_path / "field.ldgq")
     # constant up to the harmonic-fill stopping tolerance
@@ -254,6 +255,8 @@ def test_minimize_outputs_are_byte_identical_and_report_a_trace(tmp_path):
     assert trace[-1][:3] == [report["iterations"], report["final_energy"],
                              report["final_residual_maxnorm"]]
     assert all(row[3] > 0.0 for row in trace[1:])
+    # dt only ever halves, so it ran from dt_initial down to dt_final
+    assert report["dt_final"] == report["dt_initial"] / 2 ** report["rejected_steps"]
 
 
 def test_verify_roundtrip_matches_minimize_audit(tmp_path):

@@ -20,6 +20,7 @@ from ldgq import (
     uniaxial_coeffs,
 )
 from ldgq import elastic_bound_gamma, solver
+from ldgq.qtensor import BASIS, coeffs_to_matrices
 from ldgq.solver import (
     Grid3,
     QField,
@@ -149,6 +150,128 @@ def test_residual_is_exact_energy_gradient(variant):
         assert res[i, j, k, c] == pytest.approx(ref, rel=1e-6, abs=1e-8)
         checked += 1
     assert checked >= 60
+
+
+def matrix_energy_and_residual(values, grid, fun, elastic_l):
+    """Energy and residual of a (nx, ny, nz, 5) field on plain 3x3 matrices.
+
+    The density from tr Q^2 and tr Q^3 of Q = coeffs_to_matrices(values), the
+    elastic energy from the Frobenius edge sum, and the residual 2 L lap_h Q minus
+    the traceless part of the matrix derivative dF/dQ, zero on the faces. Each comes
+    with the sum of the magnitudes of its terms, the scale of its roundoff.
+    """
+    q = coeffs_to_matrices(values)
+    q2 = q @ q
+    tr2 = np.trace(q2, axis1=-2, axis2=-1)
+    tr3 = np.einsum("...ij,...ji->...", q2, q)
+    quartic = fun.quartic if isinstance(fun, GLPenalized) else fun
+    dens, dscale = quartic.a2 * tr2, abs(quartic.a2) * tr2
+    dfdq, gscale = 2.0 * quartic.a2 * q, 2.0 * abs(quartic.a2) * np.sqrt(tr2)
+    for m, p, co in quartic.terms:
+        dens = dens + co * tr2**m * tr3**p
+        dscale = dscale + abs(co * tr2**m * tr3**p)
+        if m:
+            dfdq = dfdq + (2.0 * m * co * tr2 ** (m - 1) * tr3**p)[..., None, None] * q
+            gscale = gscale + abs(2.0 * m * co * tr2 ** (m - 1) * tr3**p) * np.sqrt(tr2)
+        if p:
+            dfdq = dfdq + (3.0 * p * co * tr2**m * tr3 ** (p - 1))[..., None, None] * q2
+            gscale = gscale + abs(3.0 * p * co * tr2**m * tr3 ** (p - 1)) * tr2
+    if isinstance(fun, GLPenalized):
+        excess = np.maximum(tr2 - 1.0 / 6.0, 0.0)
+        dens = dens + excess**2 / fun.eps**2
+        dscale = dscale + excess**2 / fun.eps**2
+        dfdq = dfdq + (4.0 / fun.eps**2 * excess)[..., None, None] * q
+        gscale = gscale + 4.0 / fun.eps**2 * excess * np.sqrt(tr2)
+    dfdq = dfdq - np.trace(dfdq, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) / 3.0
+    edge, lap, lscale = 0.0, np.zeros_like(q), np.zeros(grid.shape)
+    norms = np.sqrt(tr2)
+    for axis, h in enumerate((grid.hx, grid.hy, grid.hz)):
+        diff = np.diff(q, axis=axis)
+        edge += float(np.sum(diff * diff)) / h**2
+        inner = [slice(1, -1)] * 3
+        ahead, behind = list(inner), list(inner)
+        ahead[axis], behind[axis] = slice(2, None), slice(None, -2)
+        lap[tuple(inner)] += (q[tuple(ahead)] - 2.0 * q[tuple(inner)] + q[tuple(behind)]) / h**2
+        lscale[tuple(inner)] += (norms[tuple(ahead)] + 2.0 * norms[tuple(inner)]
+                                 + norms[tuple(behind)]) / h**2
+    res = 2.0 * elastic_l * lap - dfdq
+    res[_face_mask(grid.shape)] = 0.0
+    energy = grid.node_volume * (float(np.sum(dens)) + elastic_l * edge)
+    escale = grid.node_volume * (float(np.sum(dscale)) + elastic_l * edge)
+    return energy, escale, res, 2.0 * elastic_l * lscale + gscale
+
+
+def _bulk_variant(variant, m, t, eps):
+    if variant == "quartic":
+        return Quartic(m, t)
+    if variant == "gl":
+        return GLPenalized(m, t, eps)
+    return Polynomial(a2=a_of_temperature(m, t) / 2.0,
+                      terms=((0, 1, -m.b / 3.0), (2, 0, m.c / 4.0), (3, 0, 0.5), (0, 2, 0.01)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(3, 6)] * 3),
+    spacings=st.tuples(*[st.floats(0.3, 3.0)] * 3),
+    variant=st.sampled_from(["quartic", "gl", "poly"]),
+    t=st.floats(40.0, 50.0),
+    eps=st.floats(0.05, 2.0),
+    radius=st.floats(0.01, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_pass_matches_matrix_formulation(shape, spacings, variant, t, eps, radius, seed):
+    # the component-major pass behind discrete_energy and el_residual against the
+    # plain 3x3-matrix energy and Euler-Lagrange residual
+    m = mbba(scale=1e-3)
+    cfg = SolverConfig(functional=_bulk_variant(variant, m, t, eps), elastic_l=m.elastic_l)
+    grid = Grid3(*shape, *spacings)
+    field = QField(grid, radius * np.random.default_rng(seed).standard_normal(grid.shape + (5,)))
+    energy, escale, res, rscale = matrix_energy_and_residual(field.values, grid, cfg.functional,
+                                                             m.elastic_l)
+    assert abs(discrete_energy(field, cfg) - energy) <= 1e-12 * escale
+    err = np.linalg.norm(coeffs_to_matrices(el_residual(field, cfg)) - res, axis=(-2, -1))
+    assert np.all(err <= 1e-12 * rscale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(3, 6)] * 3),
+    spacings=st.tuples(*[st.floats(0.3, 3.0)] * 3),
+    variant=st.sampled_from(["quartic", "gl", "poly"]),
+    director=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+    radius=st.floats(0.01, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fixed_director_pass_matches_matrix_formulation(shape, spacings, variant, director,
+                                                        radius, seed):
+    # The one-component pass of the fixed-director flow: its energy is the matrix
+    # energy of the lifted field Q = s base, and its residual is the lifted
+    # matrix residual's coefficient along base (base . base = 2/3 turns 2 L into
+    # the scalar flow's (4/3) L).
+    m = mbba(scale=1e-3)
+    cfg = SolverConfig(functional=_bulk_variant(variant, m, 44.0, 0.1), elastic_l=m.elastic_l,
+                       max_iters=0)
+    grid = Grid3(*shape, *spacings)
+    director = np.array(director) / np.linalg.norm(director)
+    base = uniaxial_coeffs(1.0, director)
+    flows, flow = [], solver._flow
+
+    def capture(values, grid, c, bulk, coeffs, cfg):
+        flows.append((c, bulk))
+        return flow(values, grid, c, bulk, coeffs, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_flow", capture)
+        minimize_uniaxial_fixed_director(grid, 0.3, director, cfg)
+    (c, bulk), = flows
+    s = radius * np.random.default_rng(seed).standard_normal(grid.shape)
+    got_energy, got_res = solver._energy_and_residual(s[None], grid, c, bulk)
+    energy, escale, res, rscale = matrix_energy_and_residual(
+        uniaxial_coeffs(s, director), grid, cfg.functional, m.elastic_l)
+    assert abs(got_energy - energy) <= 1e-12 * escale
+    along = np.einsum("...ij,cij,c->...", res, BASIS, base)
+    assert np.all(np.abs(got_res[0] - along) <= 1e-12 * np.sqrt(2.0 / 3.0) * rscale)
 
 
 def test_minimize_already_stationary_takes_zero_iterations():
@@ -286,14 +409,16 @@ def _flow_functional(variant, m, t):
     s_frac=st.floats(0.05, 1.0),
     director=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
 )
-# the interior turns nematic into the penalty: 58 quasi-Newton trials fail
+# the interior turns nematic into the penalty: 62 quasi-Newton trials fail
 @example(shape=(7, 7, 7), spacings=(1.0, 1.0, 1.0), variant="gl", s_frac=0.2,
          director=(0.0, 0.0, 1.0))
 def test_lbfgs_steps_descend_to_the_memory_zero_minimizer(shape, spacings, variant, s_frac,
                                                           director):
-    # The residual is evaluated once per accepted iterate, so recording its
-    # arguments recovers the accepted energies in order. With no pairs kept
-    # the flow is the plain semi-implicit gradient flow.
+    # Every trial is one energy-and-residual pass, and the flow takes the max
+    # norm of the residual once per accepted iterate, right after the pass that
+    # produced it; recording the latest pass's field at each max norm recovers
+    # the accepted iterates in order. With no pairs kept the flow is the plain
+    # semi-implicit gradient flow.
     m = mbba(scale=1e-3)
     t = 44.0
     cfg = SolverConfig(functional=_flow_functional(variant, m, t), elastic_l=m.elastic_l,
@@ -302,15 +427,22 @@ def test_lbfgs_steps_descend_to_the_memory_zero_minimizer(shape, spacings, varia
     s0 = s_frac * min(stationary_scalars(m, t).s_plus, 1.0)
     init = harmonic_interior(
         uniform_boundary_field(grid, s0, np.array(director) / np.linalg.norm(director)))
-    iterates = []
-    residual = solver._residual
+    iterates, latest = [], []
+    energy_and_residual, max_node_norm = solver._energy_and_residual, solver._max_node_norm
 
-    def recording_residual(values, *args):
-        iterates.append(values.copy())
-        return residual(values, *args)
+    def recording_pass(q, *args):
+        out = energy_and_residual(q, *args)
+        latest[:] = [np.moveaxis(q, 0, -1).copy(), out[1]]
+        return out
+
+    def recording_max_norm(res):
+        assert res is latest[1]
+        iterates.append(latest[0])
+        return max_node_norm(res)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_residual", recording_residual)
+        mp.setattr(solver, "_energy_and_residual", recording_pass)
+        mp.setattr(solver, "_max_node_norm", recording_max_norm)
         _, report = minimize(init, cfg)
         mp.setattr(solver, "_MEMORY", 0)
         _, plain = minimize(init, cfg)
@@ -339,12 +471,14 @@ def test_bulk_shift_is_the_bulk_rayleigh_quotient(shape, spacings, variant, seed
     grid = Grid3(*shape, *spacings)
     c = 2.0 * m.elastic_l
     rng = np.random.default_rng(seed)
-    q = 0.4 * rng.standard_normal(grid.shape + (5,))
-    s = step * rng.standard_normal(grid.shape + (5,))
-    s[_face_mask(grid.shape)] = 0.0
-    r0, r1 = (solver._residual(v, grid, c, fun.gradient) for v in (q, q + s))
+    q = 0.4 * rng.standard_normal((5,) + grid.shape)  # component-major, as in the flow
+    s = np.zeros_like(q)
+    s[solver._INTERIOR] = step * rng.standard_normal(s[solver._INTERIOR].shape)
+    r0, r1 = (solver._energy_and_residual(v, grid, c, fun.density_and_gradient)[1]
+              for v in (q, q + s))
     ss = float(np.vdot(s, s))
-    bulk = float(np.vdot(s, fun.gradient(q + s) - fun.gradient(q))) / ss
+    bulk = float(np.vdot(s, fun.density_and_gradient(q + s)[1]
+                         - fun.density_and_gradient(q)[1])) / ss
     shift = solver._bulk_shift(s, float(np.vdot(s, r0 - r1)), grid, c)
     # roundoff of the terms that cancel in s.y
     cancel = float(np.vdot(abs(s), abs(r0) + abs(r1))) + c * solver._edge_dirichlet_sum(s, grid)
@@ -402,6 +536,7 @@ def test_minimize_reports_step_collapse(monkeypatch):
     _, report = minimize(init, cfg)
     assert (report.stop_reason, report.converged, report.iterations) == ("step_collapse", False, 0)
     assert (report.fallbacks, report.rejected_steps) == (0, 61)  # every rejection halved dt
+    assert report.dt_final == report.dt_initial / 2.0**61
 
 
 def test_every_trial_is_an_lbfgs_step_in_fallback_order():
@@ -416,7 +551,7 @@ def test_every_trial_is_an_lbfgs_step_in_fallback_order():
     grid = Grid3(7, 7, 7, 1.0, 1.0, 1.0)
     init = harmonic_interior(uniform_boundary_field(grid, s0))
     log = []
-    lbfgs_step, residual = solver._lbfgs_step, solver._residual
+    lbfgs_step, max_node_norm = solver._lbfgs_step, solver._max_node_norm
 
     def recording_step(res, pairs, solve, sigma):
         # the newest pair's bulk shift, from which a quasi-Newton trial takes its own
@@ -428,20 +563,20 @@ def test_every_trial_is_an_lbfgs_step_in_fallback_order():
         log.append((sigma, len(pairs), bulk))
         return lbfgs_step(res, pairs, solve, sigma)
 
-    def recording_residual(*args):
+    def recording_max_norm(res):  # once per accepted iterate
         log.append("accepted")
-        return residual(*args)
+        return max_node_norm(res)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_lbfgs_step", recording_step)
-        mp.setattr(solver, "_residual", recording_residual)
+        mp.setattr(solver, "_max_node_norm", recording_max_norm)
         _, report = minimize(init, cfg)
-    assert (report.iterations, report.fallbacks, report.dt_final) == (161, 58, 0.002359479978276608)
+    assert (report.iterations, report.fallbacks, report.dt_final) == (173, 59, 0.002359479978276608)
     assert report.final_energy == pytest.approx(-4.3127659109600565, rel=1e-12, abs=0.0)
     assert report.rejected_steps == 8 and report.converged
 
     iterations, trials = [], []
-    for entry in log[1:]:  # log[0] is the initial residual
+    for entry in log[1:]:  # log[0] marks the initial field
         if entry == "accepted":
             iterations.append(trials)
             trials = []
@@ -450,6 +585,7 @@ def test_every_trial_is_an_lbfgs_step_in_fallback_order():
     assert len(iterations) == report.iterations and not trials
     fallbacks = halvings = above_floor = 0
     inv_dt = iterations[0][0][0]
+    assert inv_dt == 1.0 / report.dt_initial  # the first trial is plain, at dt_initial
     for trials in iterations:
         quasi_newton = trials[0][1] > 0
         if quasi_newton:  # max(sigma_k, 0.1/dt); dt carries over from the last plain trial
@@ -465,14 +601,14 @@ def test_every_trial_is_an_lbfgs_step_in_fallback_order():
     assert (fallbacks, halvings) == (report.fallbacks, report.rejected_steps)
     # at least one iteration runs the whole order: quasi-Newton, plain, halved
     assert any(t[0][1] and len(t) > 2 for t in iterations)
-    # the trace thins the 162 iterates to 32 rows, each with its accepted trial's shift
+    # the trace thins the 174 iterates to 32 rows, each with its accepted trial's shift
     trace = report.trace
     assert len(trace) == solver._TRACE_ROWS
     assert trace[0][0] == 0 and trace[0][3] is None
     assert trace[-1] == (report.iterations, report.final_energy, report.final_residual_maxnorm,
                          iterations[-1][-1][0])
     gaps = {b[0] - a[0] for a, b in zip(trace, trace[1:])}
-    assert gaps == {5, 6}  # 161 iterations in 31 even gaps
+    assert gaps == {5, 6}  # 173 iterations in 31 even gaps
     for k, _, _, shift in trace[1:]:
         assert shift == iterations[k - 1][-1][0]
     # the secant shift and its floor both set some quasi-Newton trial
@@ -629,13 +765,13 @@ def dense_shifted_operator(grid, sigma, c):
 )
 def test_shifted_solver_matches_dense_solve(shape, spacings, sigma, c, ncomp, seed):
     grid = Grid3(*shape, *spacings)
-    b = np.random.default_rng(seed).standard_normal(grid.shape + (ncomp,))
+    b = np.random.default_rng(seed).standard_normal((ncomp,) + grid.shape)  # component-major
     x = _shifted_solver(grid, c)(b, sigma)
     nodes, mat = dense_shifted_operator(grid, sigma, c)
-    interior = tuple(np.array(nodes).T)
-    expected = np.linalg.solve(mat, b[interior])
+    interior = (slice(None),) + tuple(np.array(nodes).T)
+    expected = np.linalg.solve(mat, b[interior].T).T
     assert np.abs(x[interior] - expected).max() <= 1e-12 * np.abs(expected).max()
-    assert np.all(x[_face_mask(grid.shape)] == 0.0)
+    assert np.all(x[:, _face_mask(grid.shape)] == 0.0)
 
 
 def test_read_field_diagnostics_name_file_lines(tmp_path):
