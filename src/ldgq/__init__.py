@@ -36,7 +36,6 @@ from .errors import (
 from .moments import (
     Distribution,
     SphericalQuadrature,
-    audit_eigen_bounds,
     band_distribution,
     build_quadrature,
     distribution_from_values,

@@ -20,6 +20,7 @@ from .bulk import (
     Quartic,
     a_of_temperature,
     bulk_triangle_scale,
+    characteristic_temperatures,
     gl_bound,
     nematic_root,
     poly_bound_C,
@@ -38,6 +39,7 @@ __all__ = [
     "elastic_bound_gamma",
     "triangle_columns",
     "triangle_report",
+    "norm_bound",
     "audit_field",
 ]
 
@@ -133,7 +135,7 @@ def triangle_columns(m: Material, t) -> TriangleColumns:
         t_psi_contains_elastic=~nematic | (elastic_scale <= 1.0),
         elastic_contains_t_psi=nematic & (np.sqrt(1.5) * gamma >= 1.0),
         crossing_temps=(
-            m.t_star + (m.b - 2.0 * m.c) / (3.0 * m.alpha),
+            characteristic_temperatures(m).physical_window[0],
             m.t_star + (m.b - m.c) / (6.0 * m.alpha),
         ),
     )
@@ -161,15 +163,19 @@ def triangle_report(m: Material, t: float) -> TriangleReport:
     )
 
 
+# Multiplicative slack of the audit's verdict, to absorb discretization error.
+AUDIT_SLACK = 1e-3
+
+
 @dataclass(frozen=True)
 class BoundAudit:
     """Outcome of checking a field's interior norms against the regime bound.
 
-    ``satisfied`` uses a multiplicative slack to absorb discretization error;
-    ``hypothesis_met`` records whether the boundary datum satisfies the
-    hypothesis of the corresponding statement (fields violating it are still
-    audited, and an unsatisfied audit then signals hypothesis-not-met rather
-    than a genuine violation).
+    ``satisfied`` allows the interior norms the multiplicative ``slack``
+    (``AUDIT_SLACK``) over the bound; ``hypothesis_met`` records whether the
+    boundary datum satisfies the hypothesis of the corresponding statement
+    (fields violating it are still audited, and an unsatisfied audit then
+    signals hypothesis-not-met rather than a genuine violation).
     """
 
     regime: str
@@ -182,23 +188,32 @@ class BoundAudit:
     hypothesis_met: bool
 
 
-def audit_field(
-    field: "QField",
-    fun,
-    m: Material,
-    t: float,
-    slack: float = 1e-3,
-) -> BoundAudit:
-    """Audit a field against the norm bound of its functional's regime.
+def norm_bound(fun, max_boundary: float) -> tuple[str, float, bool]:
+    """(regime, bound, hypothesis_met) of the functional ``fun`` for a boundary norm maximum.
 
     Quartic functionals split into the low-temperature regime (bound is the
     explicit gamma) and the high-temperature one (interior norms must not
     exceed the boundary maximum); polynomial and penalized functionals use
-    their closed-form bounds combined with the boundary maximum.
+    their closed-form bounds combined with the boundary maximum. The material
+    and temperature are the functional's own.
     """
-    if slack < 0.0:
-        raise ValueError("slack must be nonnegative")
-    norms = np.sqrt(np.einsum("...c,...c->...", field.values, field.values))
+    inv_sqrt6 = 1.0 / SQRT6
+    if isinstance(fun, GLPenalized):
+        bound = gl_bound(fun.material, fun.temperature, fun.eps)
+        return "GL", max(bound, max_boundary), max_boundary < inv_sqrt6
+    if isinstance(fun, Polynomial):
+        return "Polynomial", max(poly_bound_C(fun), max_boundary), max_boundary < inv_sqrt6
+    if isinstance(fun, Quartic):
+        gamma, nematic = _gamma(fun.material, fun.a)
+        if nematic:
+            return "LowTemp", float(gamma), max_boundary < min(0.5 * gamma, inv_sqrt6)
+        return "HighTemp", max_boundary, max_boundary < inv_sqrt6
+    raise TypeError(f"unsupported functional {type(fun).__name__}")
+
+
+def audit_field(field: "QField", fun) -> BoundAudit:
+    """Audit a field against the norm bound (``norm_bound``) of its functional's regime."""
+    norms = field.norms()
     interior = ~field.boundary_mask
     if not interior.any():
         raise ValueError("field has no interior nodes to audit")
@@ -207,37 +222,14 @@ def audit_field(
     worst_site = tuple(int(i) for i in np.unravel_index(flat, norms.shape))
     max_interior = float(interior_norms[worst_site])
     max_boundary = float(norms[field.boundary_mask].max())
-    inv_sqrt6 = 1.0 / SQRT6
-
-    if isinstance(fun, GLPenalized):
-        regime = "GL"
-        bound = max(gl_bound(m, t, fun.eps), max_boundary)
-        hypothesis = max_boundary < inv_sqrt6
-    elif isinstance(fun, Polynomial):
-        regime = "Polynomial"
-        bound = max(poly_bound_C(fun), max_boundary)
-        hypothesis = max_boundary < inv_sqrt6
-    elif isinstance(fun, Quartic):
-        gamma, nematic = _gamma(m, a_of_temperature(m, t))
-        if nematic:
-            regime = "LowTemp"
-            bound = float(gamma)
-            hypothesis = max_boundary < min(0.5 * gamma, inv_sqrt6)
-        else:
-            regime = "HighTemp"
-            bound = max_boundary
-            hypothesis = max_boundary < inv_sqrt6
-    else:
-        raise TypeError(f"unsupported functional {type(fun).__name__}")
-
-    satisfied = max_interior <= bound * (1.0 + slack)
+    regime, bound, hypothesis = norm_bound(fun, max_boundary)
     return BoundAudit(
         regime=regime,
         bound_value=float(bound),
         max_interior_norm=max_interior,
         max_boundary_norm=max_boundary,
-        satisfied=bool(satisfied),
+        satisfied=bool(max_interior <= bound * (1.0 + AUDIT_SLACK)),
         worst_site=worst_site,
-        slack=float(slack),
+        slack=AUDIT_SLACK,
         hypothesis_met=bool(hypothesis),
     )

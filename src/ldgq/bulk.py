@@ -245,7 +245,6 @@ class StationaryReport:
     The nematic branch is the global minimum exactly when f_at_plus < 0.
     """
 
-    s_zero_value: float
     s_plus: Optional[float]
     s_minus: Optional[float]
     f_at_plus: Optional[float]
@@ -306,9 +305,8 @@ def stationary_scalars(m: Material, t: float) -> StationaryReport:
     """Uniaxial stationary points of the quartic bulk density at temperature t."""
     col = stationary_columns(m, t)
     if not col.nematic:
-        return StationaryReport(0.0, None, None, None, None, False)
+        return StationaryReport(None, None, None, None, False)
     return StationaryReport(
-        s_zero_value=0.0,
         s_plus=float(col.s_plus),
         s_minus=float(col.s_minus),
         f_at_plus=float(col.f_plus),
@@ -335,14 +333,12 @@ class CharacteristicTemperatures:
 
 def characteristic_temperatures(m: Material) -> CharacteristicTemperatures:
     b2c = m.b * m.b / m.c
+    t_superheat = m.t_star + b2c / (24.0 * m.alpha)
     return CharacteristicTemperatures(
         t_star=m.t_star,
         t_ni=m.t_star + b2c / (27.0 * m.alpha),
-        t_superheat=m.t_star + b2c / (24.0 * m.alpha),
-        physical_window=(
-            m.t_star + (m.b - 2.0 * m.c) / (3.0 * m.alpha),
-            m.t_star + b2c / (24.0 * m.alpha),
-        ),
+        t_superheat=t_superheat,
+        physical_window=(m.t_star + (m.b - 2.0 * m.c) / (3.0 * m.alpha), t_superheat),
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalizationError
-from .qtensor import QTensor, matrices_to_coeffs, in_physical_triangle
+from .qtensor import QTensor, matrices_to_coeffs
 
 __all__ = [
     "SphericalQuadrature",
@@ -27,7 +27,6 @@ __all__ = [
     "watson_distribution",
     "band_distribution",
     "q_from_psi",
-    "audit_eigen_bounds",
     "load_density_csv",
 ]
 
@@ -161,11 +160,6 @@ def q_from_psi(psi: Distribution, quad: SphericalQuadrature) -> QTensor:
     wpsi = quad.weights * psi.values
     second = np.einsum("n,ni,nj->ij", wpsi, quad.nodes, quad.nodes)
     return QTensor(matrices_to_coeffs(second - np.eye(3) / 3.0 * total))
-
-
-def audit_eigen_bounds(q: QTensor, tol: float) -> bool:
-    """True when the eigenvalues respect the second-moment bounds [-1/3, 2/3]."""
-    return in_physical_triangle(q, tol)
 
 
 def load_density_csv(path, quad: SphericalQuadrature) -> Distribution:

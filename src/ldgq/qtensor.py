@@ -157,7 +157,6 @@ class OrderParams:
 
     s: float
     r: float
-    region: str
 
 
 def make_biaxial(s: float, r: float, e1, e2) -> QTensor:
@@ -207,8 +206,7 @@ def order_params(q: QTensor) -> OrderParams:
     lam = eigenvalues_desc(q.coeffs)
     s = max(float(lam[0] - lam[2]), 0.0)
     r = max(float(lam[1] - lam[2]), 0.0)
-    _, region = norm_and_region(s, r)
-    return OrderParams(s=s, r=r, region=region)
+    return OrderParams(s=s, r=r)
 
 
 def biaxiality(q: QTensor) -> float:

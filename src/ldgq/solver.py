@@ -246,14 +246,15 @@ def _max_node_norm(q: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("c...,c...->...", q, q).max()))
 
 
-def _sampled_hessian_bound(fun: BulkFunctional, values: np.ndarray) -> float:
-    """Directional finite-difference bound on the bulk Hessian over sampled nodes."""
-    flat = values.reshape(-1, values.shape[-1])
-    sample = flat[np.unique(np.linspace(0, flat.shape[0] - 1, 64).astype(int))]
-    scale = 1e-4 * (1.0 + np.sqrt(np.einsum("nc,nc->n", sample, sample)))
-    step = np.eye(sample.shape[1])[:, None, :] * scale[:, None]  # [c, n] = scale[n] e_c
-    diff = fun.gradient(sample + step) - fun.gradient(sample - step)
-    return 1.5 * float((np.sqrt(np.einsum("cnd,cnd->cn", diff, diff)) / (2.0 * scale)).max())
+def _sampled_hessian_bound(bulk, q: np.ndarray) -> float:
+    """Finite-difference bound on the Hessian of ``bulk`` at 64 nodes of ``q`` (ncomp, ...)."""
+    flat = q.reshape(q.shape[0], -1)
+    sample = flat[:, np.unique(np.linspace(0, flat.shape[1] - 1, 64).astype(int))]
+    scale = 1e-4 * (1.0 + np.sqrt(np.einsum("cn,cn->n", sample, sample)))
+    # step[c, d, n] = scale[n] if c == d: probe direction d moves component d
+    step = np.eye(sample.shape[0])[:, :, None] * scale
+    diff = bulk(sample[:, None] + step)[1] - bulk(sample[:, None] - step)[1]
+    return 1.5 * float((np.sqrt(np.einsum("cdn,cdn->dn", diff, diff)) / (2.0 * scale)).max())
 
 
 def _lbfgs_step(res: np.ndarray, pairs: list, solve, sigma: float) -> np.ndarray:
@@ -284,7 +285,7 @@ def _bulk_shift(s: np.ndarray, sy: float, grid: Grid3, c: float) -> float:
     return (sy - c * _edge_dirichlet_sum(s, grid)) / float(np.vdot(s, s))
 
 
-def _flow(values: np.ndarray, grid: Grid3, c: float, bulk, coeffs: np.ndarray,
+def _flow(values: np.ndarray, grid: Grid3, c: float, bulk,
           cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
     """Energy-monotone L-BFGS flow of ``values`` (nx, ny, nz, ncomp) on interior nodes.
 
@@ -294,8 +295,8 @@ def _flow(values: np.ndarray, grid: Grid3, c: float, bulk, coeffs: np.ndarray,
     and one ``_energy_and_residual`` pass with ``bulk``. If a quasi-Newton trial would
     raise the energy beyond roundoff, the memory is dropped (a fallback) and the plain
     step x solving (I/dt - c lap_h) x = residual is tried, halving dt (a rejected step)
-    until it does not. dt starts at 0.9 over the sampled bulk Hessian bound of
-    ``cfg.functional`` at ``coeffs``, the five-coefficient field of ``values``.
+    until it does not. dt starts at 0.9 over the sampled Hessian bound of ``bulk`` on the
+    initial field (``_sampled_hessian_bound``).
     ``energy_history_monotone`` is False if an accepted energy ever rose above the
     lowest one before it by more than that allowance. The report's ``trace`` holds
     (iteration, energy, residual max norm, shift of the accepted trial) for the
@@ -305,7 +306,7 @@ def _flow(values: np.ndarray, grid: Grid3, c: float, bulk, coeffs: np.ndarray,
     energy, res = _energy_and_residual(q, grid, c, bulk)
     if not math.isfinite(energy):
         raise DivergenceError("initial field has non-finite energy")
-    dt = dt_initial = 0.9 / _sampled_hessian_bound(cfg.functional, coeffs)
+    dt = dt_initial = 0.9 / _sampled_hessian_bound(bulk, q)
     solve = _shifted_solver(grid, c)
     iterations = fallbacks = rejected_steps = 0
     lowest, monotone = energy, True
@@ -390,7 +391,7 @@ def minimize(initial: QField, cfg: SolverConfig) -> tuple[QField, SolveReport]:
     best (latest) iterate with ``converged`` False, and ``stop_reason`` says which.
     """
     values, report = _flow(initial.values, initial.grid, 2.0 * cfg.elastic_l,
-                           cfg.functional.density_and_gradient, initial.values, cfg)
+                           cfg.functional.density_and_gradient, cfg)
     return initial.with_values(values), report
 
 
@@ -420,11 +421,10 @@ def minimize_uniaxial_fixed_director(grid: Grid3, s_boundary, director,
             (bvals > 0.0).all() and (bvals < min(s_plus, 1.0)).all())
 
     def bulk(svals):  # the one component s of Q = s base; the gradient projected onto base
-        density, gradient = fun.density_and_gradient(svals * base[:, None, None, None])
+        density, gradient = fun.density_and_gradient(np.multiply.outer(base, svals[0]))
         return density, np.tensordot(base, gradient, axes=1)[None]
 
-    values, report = _flow(s[..., None], grid, (4.0 / 3.0) * cfg.elastic_l, bulk,
-                           s[..., None] * base, cfg)
+    values, report = _flow(s[..., None], grid, (4.0 / 3.0) * cfg.elastic_l, bulk, cfg)
     return values[..., 0].copy(), replace(report, hypothesis_met=hypothesis)
 
 

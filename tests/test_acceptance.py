@@ -208,7 +208,7 @@ def test_criterion_06_low_temperature_norm_bound():
         gamma = elastic_bound_gamma(m, t)
         max_norm = float(final.norms().max())
         assert max_norm <= gamma * (1.0 + 1e-3)
-        audit = audit_field(final, cfg.functional, m, t, slack=1e-3)
+        audit = audit_field(final, cfg.functional)
         assert audit.satisfied and audit.regime == "LowTemp"
         details.append(f"T={t}: max|Q|/Gamma={max_norm / gamma:.6f}")
     _passline(6, 120.0, t0, "; ".join(details))
@@ -229,7 +229,7 @@ def test_criterion_07_high_temperature_boundary_maximum():
     boundary_max = float(norms[final.boundary_mask].max())
     assert boundary_max == pytest.approx(0.3, rel=1e-12)
     assert interior_max <= boundary_max + 1e-8
-    audit = audit_field(final, cfg.functional, m, t, slack=1e-3)
+    audit = audit_field(final, cfg.functional)
     assert audit.satisfied and audit.regime == "HighTemp" and audit.hypothesis_met
     _passline(7, 60.0, t0, f"interior max {interior_max:.6f} <= boundary max {boundary_max:.6f}")
 
@@ -255,7 +255,7 @@ def test_criterion_08_penalized_bound_and_eps_scaling():
         bound = gl_bound(m, t, eps)
         max_norm = float(final.norms().max())
         assert max_norm <= bound + 1e-3
-        audit = audit_field(final, fun, m, t, slack=1e-3)
+        audit = audit_field(final, fun)
         assert audit.satisfied and audit.regime == "GL" and audit.hypothesis_met
 
     # eps scaling of the bound itself. The deviation gl_bound - 1/sqrt(6)

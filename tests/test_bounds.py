@@ -122,7 +122,7 @@ def test_audit_constant_bulk_minimizer_low_temp():
     sp = stationary_scalars(m, t).s_plus
     grid = Grid3(5, 5, 5, 1.0, 1.0, 1.0)
     field = _constant_field(grid, sp)
-    audit = audit_field(field, Quartic(m, t), m, t)
+    audit = audit_field(field, Quartic(m, t))
     gamma = elastic_bound_gamma(m, t)
     assert audit.regime == "LowTemp"
     assert audit.satisfied
@@ -135,7 +135,7 @@ def test_audit_zero_field_high_temp():
     m = mbba(scale=1e-3)
     grid = Grid3(4, 4, 4, 1.0, 1.0, 1.0)
     field = _constant_field(grid, 0.0)
-    audit = audit_field(field, Quartic(m, 50.0), m, 50.0)
+    audit = audit_field(field, Quartic(m, 50.0))
     assert audit.regime == "HighTemp"
     assert audit.satisfied
     assert audit.max_interior_norm == 0.0
@@ -151,7 +151,7 @@ def test_audit_flags_scaled_interior_node():
     values = field.values.copy()
     values[2, 3, 2] *= 3.0
     tampered = field.with_values(values)
-    audit = audit_field(tampered, Quartic(m, t), m, t)
+    audit = audit_field(tampered, Quartic(m, t))
     assert not audit.satisfied
     assert audit.worst_site == (2, 3, 2)
 
@@ -162,11 +162,11 @@ def test_audit_regimes_polynomial_and_gl():
     grid = Grid3(4, 4, 4, 1.0, 1.0, 1.0)
     field = _constant_field(grid, 0.3)
     poly = mbba_quartic_as_polynomial(m, t)
-    audit = audit_field(field, poly, m, t)
+    audit = audit_field(field, poly)
     assert audit.regime == "Polynomial"
     assert audit.bound_value == pytest.approx(elastic_bound_gamma(m, t), rel=1e-10)
     gl = GLPenalized(m, t, 0.1)
-    audit = audit_field(field, gl, m, t)
+    audit = audit_field(field, gl)
     assert audit.regime == "GL"
     assert audit.bound_value == pytest.approx(gl_bound(m, t, 0.1), rel=1e-14)
     assert audit.hypothesis_met  # |Q0| = 0.3 < 1/sqrt(6)
@@ -188,7 +188,7 @@ def test_one_superheating_test_everywhere(m, t, nematic):
     rep = stationary_scalars(m, t)
     tri = triangle_report(m, t)
     verts = bulk_triangle(m, t)
-    audit = audit_field(_constant_field(Grid3(3, 3, 3, 1.0, 1.0, 1.0), 0.0), Quartic(m, t), m, t)
+    audit = audit_field(_constant_field(Grid3(3, 3, 3, 1.0, 1.0, 1.0), 0.0), Quartic(m, t))
     assert (rep.s_plus is not None) is nematic
     assert (tri.gamma is not None) is nematic
     assert audit.regime == ("LowTemp" if nematic else "HighTemp")

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ldgq import cli
-from ldgq.bounds import BoundAudit
+from ldgq import cli, solver
+from ldgq.bounds import BoundAudit, norm_bound
 from ldgq.cli import (
     EXIT_AUDIT,
     EXIT_DIVERGENCE,
@@ -138,7 +138,7 @@ GRID_LINES = "[grid]\nnx = 3\nny = 3\nnz = 3\nhx = 1\nhy = 1\nhz = 1\n"
      "must be finite"),
     ("[solver]\ntol = 0\n", "line 2: tol must be positive"),
     ("[solver]\nmax_iters = -1\n", "line 2: max_iters must be nonnegative"),
-    ("[solver]\nslack = -0.5\n", "line 2: slack must be nonnegative"),
+    ("[solver]\nslack = -0.5\n", "line 2: unknown solver key 'slack'"),
 ])
 def test_each_config_fault_has_its_message(text, message):
     with pytest.raises(ConfigError) as exc:
@@ -238,6 +238,50 @@ def test_minimize_with_restarts_records_seed(tmp_path):
     report = json.loads((tmp_path / "solve_report.json").read_text())
     assert report["seed"] in (None, 11, 12)
     assert report["converged"]
+
+
+# The functional of the relax-fine benchmark run: the T = 44 quartic as a polynomial
+# plus a sextic term.
+RELAX_FINE_FUNCTIONAL = ("variant = polynomial\na2 = -0.21\nterm = 0 1 -2.1333333333333333\n"
+                         "term = 2 0 0.875\nterm = 3 0 0.5")
+
+
+@pytest.mark.parametrize("t, s0, nx, h, functional, amp", [
+    (44.0, 0.8, 5, 1.0, "variant = quartic", 0.0882490032625812),  # Gamma / 10
+    (50.0, 0.5, 5, 1.0, "variant = quartic", 0.05 * np.sqrt(2.0 / 3.0)),  # boundary norm / 10
+    # poly_bound_C / 10; a tenth of the [material] quartic's Gamma would be 0.0882
+    (44.0, 0.45, 17, 0.25, RELAX_FINE_FUNCTIONAL, 0.06690988342928152),
+    (44.0, 0.4, 5, 1.0, "variant = gl\neps = 0.1", 0.041100273340842963),  # gl_bound / 10
+], ids=["quartic-low", "quartic-high", "polynomial-relax-fine", "gl"])
+def test_restarts_perturb_by_a_tenth_of_the_norm_bound(tmp_path, monkeypatch, t, s0, nx, h,
+                                                       functional, amp):
+    text = minimize_config(t=t, s0=s0, nx=nx, extra="restarts = 2\nseed = 3\n")
+    text = text.replace("variant = quartic", functional).replace("max_iters = 100000",
+                                                                 "max_iters = 0")
+    for axis in "xyz":
+        text = text.replace(f"h{axis} = 1.0", f"h{axis} = {h!r}")
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    starts, minimize = [], solver.minimize
+
+    def capture(start, scfg):
+        starts.append(start.values)
+        return minimize(start, scfg)
+
+    monkeypatch.setattr(solver, "minimize", capture)
+    cli.main(["--out", str(tmp_path), "minimize", "--config", str(path)])
+    cfg = parse_config(text)
+    base = starts[0]  # the unperturbed start comes first
+    mask = QField(cfg.grid, base).boundary_mask
+    boundary_norm = float(np.sqrt((base[mask] ** 2).sum(-1)).max())
+    code_amp = 0.1 * norm_bound(cli.build_functional(cfg, t), boundary_norm)[1]
+    assert code_amp == pytest.approx(amp, rel=1e-12)
+    assert len(starts) == 3
+    for seed, start in zip((3, 4), starts[1:]):
+        expected = base.copy()
+        draw = np.random.default_rng(seed).standard_normal(expected[~mask].shape)
+        expected[~mask] += code_amp * draw
+        assert np.array_equal(start, expected)
 
 
 def test_minimize_outputs_are_byte_identical_and_report_a_trace(tmp_path):
@@ -446,7 +490,7 @@ def test_readme_config_example_round_trips():
     ("max_iters = -1", "max_iters must be nonnegative"),
     ("restarts = -1", "restarts must be nonnegative"),
     ("seed = -1", "seed must be nonnegative"),
-    ("slack = -1", "slack must be nonnegative"),
+    ("slack = -1", "unknown solver key 'slack'"),
 ], ids=["tol", "max_iters", "restarts", "seed", "slack"])
 def test_minimize_rejects_out_of_range_solver_values(tmp_path, capsys, line, message):
     # rejected while parsing, before any solve, with the line of the key

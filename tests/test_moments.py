@@ -12,7 +12,6 @@ from ldgq import (
 from ldgq import moments
 from ldgq.moments import (
     _nearest_nodes,
-    audit_eigen_bounds,
     band_distribution,
     build_quadrature,
     distribution_from_values,
@@ -21,7 +20,7 @@ from ldgq.moments import (
     uniform_distribution,
     watson_distribution,
 )
-from ldgq.qtensor import rotate_coeffs
+from ldgq.qtensor import in_physical_triangle, rotate_coeffs
 
 
 def test_quadrature_invariants_low_level():
@@ -116,9 +115,9 @@ def test_random_densities_respect_eigenvalue_bounds():
 def test_audit_eigen_bounds_delegates():
     quad = build_quadrature(6)
     q = q_from_psi(watson_distribution(quad, Z, 5.0), quad)
-    assert audit_eigen_bounds(q, 1e-8)
+    assert in_physical_triangle(q, 1e-8)
     bad = make_biaxial(1.2, 0.0, Z, np.array([1.0, 0.0, 0.0]))
-    assert not audit_eigen_bounds(bad, 0.0)
+    assert not in_physical_triangle(bad, 0.0)
 
 
 def test_moment_map_linearity():

@@ -257,9 +257,9 @@ def test_fixed_director_pass_matches_matrix_formulation(shape, spacings, variant
     base = uniaxial_coeffs(1.0, director)
     flows, flow = [], solver._flow
 
-    def capture(values, grid, c, bulk, coeffs, cfg):
+    def capture(values, grid, c, bulk, cfg):
         flows.append((c, bulk))
-        return flow(values, grid, c, bulk, coeffs, cfg)
+        return flow(values, grid, c, bulk, cfg)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_flow", capture)
