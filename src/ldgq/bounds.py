@@ -214,13 +214,10 @@ def norm_bound(fun, max_boundary: float) -> tuple[str, float, bool]:
 def audit_field(field: "QField", fun) -> BoundAudit:
     """Audit a field against the norm bound (``norm_bound``) of its functional's regime."""
     norms = field.norms()
-    interior = ~field.boundary_mask
-    if not interior.any():
-        raise ValueError("field has no interior nodes to audit")
-    interior_norms = np.where(interior, norms, -np.inf)
-    flat = int(np.argmax(interior_norms))
-    worst_site = tuple(int(i) for i in np.unravel_index(flat, norms.shape))
-    max_interior = float(interior_norms[worst_site])
+    interior = norms[1:-1, 1:-1, 1:-1]  # C order, as the full array: ties pick the same node
+    flat = int(np.argmax(interior))
+    worst_site = tuple(int(i) + 1 for i in np.unravel_index(flat, interior.shape))
+    max_interior = float(norms[worst_site])
     max_boundary = float(norms[field.boundary_mask].max())
     regime, bound, hypothesis = norm_bound(fun, max_boundary)
     return BoundAudit(

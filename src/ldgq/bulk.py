@@ -389,54 +389,20 @@ def _degree_weighted_bound_poly(fun: Polynomial) -> np.ndarray:
     return k
 
 
-def _bisect_root(poly: np.ndarray, lo: float, hi: float, tol: float) -> float:
-    # sign convention: poly(lo) <= 0 < poly(hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if np.polyval(poly[::-1], mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _largest_nonneg_root(poly: np.ndarray) -> float:
+    """Largest nonnegative real root of p(u) = sum of poly[i] u^i, or 0.0 if it has none.
 
-
-def _largest_nonneg_root(poly: np.ndarray, tol: float = 1e-12) -> float:
-    """Largest nonnegative real root of an ascending-coefficient polynomial.
-
-    Brackets below the Cauchy bound with a dense descending scan and bisects.
-    Even-multiplicity roots (no sign change) are recovered by bisecting the
-    derivative to the stationary point and accepting it when the polynomial
-    value there is negligible against the local scale.
+    The candidates are the nonnegative real parts of the companion-matrix
+    eigenvalues (``np.roots``). One is kept where the polynomial is negligible
+    against its local scale, |p(u)| <= 1e-9 * sum |poly[i]| max(u, 1)^i, so a double
+    root, which the eigenvalues split into a complex pair, still counts.
     """
-    coeffs = np.trim_zeros(np.asarray(poly, dtype=float), "b")
-    if coeffs.size <= 1:
-        return 0.0
-    lead = coeffs[-1]
-    if lead <= 0.0:
-        raise ValueError("bound polynomial must have a positive leading coefficient")
-    cauchy = 1.0 + np.max(np.abs(coeffs[:-1])) / lead
-    grid = np.linspace(0.0, cauchy, 4096)
-    vals = np.polyval(coeffs[::-1], grid)
-    nonpos = np.nonzero(vals <= 0.0)[0]
-    if nonpos.size:
-        i = int(nonpos[-1])
-        if i == grid.size - 1:  # cannot happen below the Cauchy bound
-            raise AssertionError("polynomial nonpositive at its Cauchy bound")
-        return _bisect_root(coeffs, grid[i], grid[i + 1], tol)
-    # No sign change on the grid: look for a double root at an interior minimum.
-    dpoly = coeffs[1:] * np.arange(1, coeffs.size)
-    dvals = np.polyval(dpoly[::-1], grid)
-    best = 0.0
-    for i in range(grid.size - 1):
-        if dvals[i] <= 0.0 < dvals[i + 1]:
-            u = _bisect_root(dpoly, grid[i], grid[i + 1], tol)
-            pu = float(np.polyval(coeffs[::-1], u))
-            scale = float(np.polyval(np.abs(coeffs)[::-1], max(u, 1.0)))
-            if pu <= 0.0:
-                best = max(best, _bisect_root(coeffs, u, cauchy, tol))
-            elif pu <= 1e-9 * scale:
-                best = max(best, u)
-    return best
+    desc = poly[::-1]
+    u = np.roots(desc).real
+    u = u[u >= 0.0]
+    scale = np.polyval(np.abs(desc), np.maximum(u, 1.0))
+    kept = u[np.abs(np.polyval(desc, u)) <= 1e-9 * scale]
+    return float(kept.max()) if kept.size else 0.0
 
 
 def poly_bound_C(fun: Polynomial) -> float:
@@ -455,7 +421,8 @@ def gl_bound(m: Material, t: float, eps: float) -> float:
 
     The caller combines this with the boundary-norm maximum. Tends to
     1/sqrt(6) as eps -> 0 and to the unpenalized low-temperature bound as
-    eps -> infinity.
+    eps -> infinity. It is 1/sqrt(6) wherever the penalized minorant has no
+    root above it, so it is defined at every temperature.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
@@ -466,6 +433,6 @@ def gl_bound(m: Material, t: float, eps: float) -> float:
         + 16.0 * eps * eps * (m.c - 6.0 * a)
         + eps**4 * (m.b * m.b - 24.0 * a * m.c)
     )
-    if radicand < 0.0:
-        raise RegimeError("penalized bound radicand is negative for these parameters")
+    if radicand < 0.0:  # the penalized minorant has no root above 1/sqrt(6)
+        return 1.0 / SQRT6
     return max(1.0 / SQRT6, (m.b * eps * eps + np.sqrt(radicand)) / den)

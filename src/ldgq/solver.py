@@ -355,7 +355,7 @@ def _flow(values: np.ndarray, grid: Grid3, c: float, bulk,
         y -= trial_res
         res = trial_res
         sy = float(np.vdot(step, y))
-        if sy > 0.0 and len(pairs) < _MEMORY:
+        if sy > 0.0 and len(pairs) < _MEMORY:  # False at every step when _MEMORY is 0
             pairs.append((step, y, 1.0 / sy))
             bulk_shift = _bulk_shift(step, sy, grid, c)
         del step, y

@@ -370,15 +370,23 @@ def test_poly_bound_examples():
 
 
 def test_poly_bound_double_root():
-    # coefficients tuned so the minorant has a double root at b/(2 sqrt6 c);
-    # a double root carries sqrt(ulp) conditioning, hence the loose tolerance
+    # the quartic at a = b^2/24c (1 + d) has a double root at b/(2 sqrt6 c) for
+    # d = 0; a double root carries sqrt(ulp) conditioning, hence the loose tolerance
     m = mbba()
-    a = m.b * m.b / (24.0 * m.c)
-    fun = Polynomial(a2=a / 2.0, terms=((0, 1, -m.b / 3.0), (2, 0, m.c / 4.0)))
-    assert poly_bound_C(fun) == pytest.approx(m.b / (2 * np.sqrt(6) * m.c), rel=1e-6)
+    tangent = m.b / (2 * np.sqrt(6) * m.c)
+    for d in (0.0, 1e-9, 1e-6, -1e-9):
+        a = m.b * m.b / (24.0 * m.c) * (1.0 + d)
+        fun = Polynomial(a2=a / 2.0, terms=((0, 1, -m.b / 3.0), (2, 0, m.c / 4.0)))
+        if d == 1e-6:  # no real root, and the minimum is far from zero
+            expected = 0.0
+        elif d < 0.0:  # two real roots 6e-5 apart relative: the larger one
+            expected = (m.b + np.sqrt(m.b * m.b - 24.0 * a * m.c)) / (2 * np.sqrt(6) * m.c)
+        else:  # at d = 1e-9 no real root, but the minimum is within the tangency rule
+            expected = tangent
+        assert poly_bound_C(fun) == pytest.approx(expected, rel=1e-6), d
 
 
-def test_poly_bound_generic_root_against_companion_oracle():
+def test_poly_bound_generic_root_against_grid_oracle():
     rng = np.random.default_rng(19)
     for _ in range(20):
         a2 = rng.uniform(-2.0, 0.5)
@@ -386,16 +394,23 @@ def test_poly_bound_generic_root_against_companion_oracle():
         a4 = rng.uniform(0.2, 2.0)
         a6 = rng.uniform(0.05, 1.0)
         fun = Polynomial(a2=a2, terms=((0, 1, -a3), (2, 0, a4), (3, 0, a6)))
-        # independent locator: companion-matrix roots of the same minorant
+        # the same minorant over u^2, written out by hand
         coeffs = np.zeros(5)
         coeffs[0] = 2 * a2
         coeffs[1] = -3 * a3 / np.sqrt(6)
         coeffs[2] = 4 * a4
         coeffs[4] = 6 * a6
-        roots = np.roots(coeffs[::-1])
-        real = [r.real for r in roots if abs(r.imag) < 1e-9 and r.real >= 0.0]
-        expected = max(real) if real else 0.0
-        assert poly_bound_C(fun) == pytest.approx(expected, abs=1e-9)
+        # independent locator: the sign of the minorant on a dense grid up to the
+        # Cauchy bound, above which it has no root
+        cauchy = 1.0 + np.max(np.abs(coeffs[:-1])) / coeffs[-1]
+        grid, h = np.linspace(0.0, cauchy, 100_001, retstep=True)
+        vals = np.polyval(coeffs[::-1], grid)
+        bound = poly_bound_C(fun)
+        assert (bound == 0.0) == bool((vals > 0.0).all())
+        if bound > 0.0:
+            assert (vals[grid > bound] > 0.0).all()
+            # a sign change within one grid step below, or a zero at the bound
+            assert (vals[np.abs(grid - bound) <= h] <= 0.0).any()
 
 
 def test_gl_bound_limits_and_value():
@@ -411,3 +426,16 @@ def test_gl_bound_limits_and_value():
         2 * np.sqrt(6) * m.c
     )
     assert strong == pytest.approx(gamma, rel=1e-2)
+
+
+@pytest.mark.parametrize("eps", [0.5, 1.0])
+def test_gl_bound_at_every_temperature(eps):
+    # the radicand of the closed form turns negative from T = 52 at eps = 0.5 and
+    # from T = 47.5 at eps = 1; the penalized minorant then has no root above
+    # 1/sqrt(6), and the bound is 1/sqrt(6)
+    m = mbba(scale=1e-3)
+    bounds = [gl_bound(m, t, eps) for t in np.arange(45.0, 60.25, 0.5)]
+    assert all(np.isfinite(bounds))
+    assert min(bounds) >= 1.0 / np.sqrt(6.0)
+    assert all(hi >= lo for hi, lo in zip(bounds, bounds[1:]))
+    assert bounds[0] > 1.0 / np.sqrt(6.0) and bounds[-1] == 1.0 / np.sqrt(6.0)

@@ -505,6 +505,84 @@ def test_minimize_rejects_out_of_range_solver_values(tmp_path, capsys, line, mes
     assert not (tmp_path / "solve_report.json").exists()
 
 
+def test_gl_minimize_and_verify_where_the_closed_form_radicand_is_negative(tmp_path):
+    # GL eps = 1 at T = 50: the penalized minorant has no root above 1/sqrt(6),
+    # so the bound is 1/sqrt(6); both commands used to exit 2 here
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(minimize_config(t=50.0, s0=0.3, nx=5)
+                   .replace("variant = quartic", "variant = gl\neps = 1.0"))
+    assert cli.main(["--out", str(tmp_path), "minimize", "--config", str(cfg)]) == EXIT_OK
+    rc = cli.main(
+        ["--out", str(tmp_path), "verify", str(tmp_path / "field.ldgq"), "--config", str(cfg)]
+    )
+    assert rc == EXIT_OK
+    for name in ("audit.json", "verify_audit.json"):
+        audit = json.loads((tmp_path / name).read_text())
+        assert audit["regime"] == "GL" and audit["bound_value"] == 1.0 / np.sqrt(6.0)
+
+
+RUN = minimize_config(nx=5)
+
+
+@pytest.mark.parametrize("args, text, message, code", [
+    (["minimize"], RUN[:RUN.index("[grid]")] + RUN[RUN.index("[boundary]"):],
+     "this command needs the [grid] block", EXIT_PARSE),
+    (["minimize"], RUN.replace("[temperature]\nvalue = 44.5\n", ""),
+     "this command needs a [temperature] block", EXIT_PARSE),
+    (["minimize"], RUN.replace("value = 44.5", "start = 44.0\nstop = 45.0\nstep = 0.5"),
+     "minimize needs a single temperature, not a sweep", EXIT_PARSE),
+    (["moments", "density.csv", "--level", "0"], None, "--level must be >= 1", EXIT_PARSE),
+    (["minimize"], None,
+     "cannot read config {cfg}: [Errno 2] No such file or directory: '{cfg}'", EXIT_PARSE),
+    (["minimize"], RUN.replace("s0 = 0.8", "s0 = 1e100"),
+     "initial field has non-finite energy", EXIT_DIVERGENCE),
+], ids=["missing-block", "no-temperature", "sweep", "level", "unreadable-config", "divergence"])
+def test_command_errors_have_their_exit_code_and_message(tmp_path, capsys, args, text, message,
+                                                         code):
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    if args[0] == "minimize":
+        args = [*args, "--config", str(cfg)]
+    # the 1e100 start overflows the energy to inf on purpose
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["--out", str(tmp_path / "out"), *args])
+    assert rc == code
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+    assert not list((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("boundary", [
+    "kind = biaxial\ns = 0.5\nr = 0.2\ne1 = 1 0 0\ne2 = 0 1 0",
+    "kind = per-face\nxlo = 0.2\nxhi = 0.3\nylo = 0.4\nyhi = 0.5\nzlo = 0.6\nzhi = 0.7\n"
+    "director = 0 0 1",
+], ids=["biaxial", "per-face"])
+def test_minimize_keeps_the_boundary_datum_on_the_faces(tmp_path, boundary):
+    text = RUN.replace("kind = uniaxial\ns0 = 0.8\ndirector = 0 0 1", boundary)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli.main(["--out", str(tmp_path), "minimize", "--config", str(cfg)]) == EXIT_OK
+    field = read_field(tmp_path / "field.ldgq")
+    expected = cli.boundary_values(field.grid, parse_config(text).boundary)
+    mask = field.boundary_mask
+    assert np.array_equal(field.values[mask], expected[mask])
+
+
+def test_per_face_edges_take_the_x_face_then_the_y_face():
+    # boundary_values assigns the z faces first and the x faces last
+    faces = dict(zip(("xlo", "xhi", "ylo", "yhi", "zlo", "zhi"), (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)))
+    spec = cli.BoundarySpec(kind="per-face", director=(0.0, 0.0, 1.0),
+                            faces=tuple(faces.values()))
+    values = cli.boundary_values(Grid3(4, 4, 4, 1.0, 1.0, 1.0), spec)
+    base = uniaxial_coeffs(1.0, [0, 0, 1])
+    for node, face in [((0, 1, 0), "xlo"), ((3, 2, 3), "xhi"),  # x-z edges
+                       ((1, 0, 0), "ylo"), ((2, 3, 3), "yhi"),  # y-z edges
+                       ((0, 0, 1), "xlo"), ((3, 3, 2), "xhi"),  # x-y edges
+                       ((0, 0, 0), "xlo"), ((3, 0, 3), "xhi"),  # corners
+                       ((1, 2, 0), "zlo"), ((2, 1, 3), "zhi")]:  # inside the z faces
+        assert np.array_equal(values[node], faces[face] * base), (node, face)
+
+
 @pytest.mark.parametrize("flag", ["--seed", "--slack"])
 def test_removed_global_overrides_are_usage_errors(tmp_path, flag):
     cfg = tmp_path / "run.cfg"
