@@ -376,9 +376,17 @@ def _json_texts(values: list) -> list[str]:
     return json.dumps(values)[1:-1].split(", ") if values else []
 
 
+def _negated_json(text: str) -> str:
+    """The JSON text of -x from the JSON text of x; ``json.dumps`` writes NaN unsigned."""
+    if text.startswith("-"):
+        return text[1:]
+    return text if text == "NaN" else "-" + text
+
+
 # The JSON of one TriangleReport as _dump_json lays it out inside the list of
 # reports (sort_keys, indent=2): its vertex lists, then the whole report.
-def _vertices_json(eta: str, minus_eta: str) -> str:
+def _vertices_json(eta: str) -> str:
+    minus_eta = _negated_json(eta)
     return f"""[
       [
         {eta},
@@ -426,15 +434,15 @@ def cmd_triangles(cfg: RunConfig, out_dir: Path) -> int:
     crossing = _json_texts(list(col.crossing_temps))
     texts = (
         _json_texts(c.tolist())
-        for c in (col.t, col.bulk_scale, -col.bulk_scale, col.gamma, col.elastic_scale,
-                  -col.elastic_scale, col.t_psi_contains_elastic, col.elastic_contains_t_psi)
+        for c in (col.t, col.bulk_scale, col.gamma, col.elastic_scale,
+                  col.t_psi_contains_elastic, col.elastic_contains_t_psi)
     )
     reports = [
-        _report_json(t, _vertices_json(s, minus_s), crossing, contains_t_psi,
-                     _vertices_json(eta, minus_eta), gamma, in_t_psi)
+        _report_json(t, _vertices_json(s), crossing, contains_t_psi, _vertices_json(eta),
+                     gamma, in_t_psi)
         if nematic else
         _report_json(t, _ORIGIN_JSON, crossing, contains_t_psi, "null", "null", in_t_psi)
-        for nematic, t, s, minus_s, gamma, eta, minus_eta, in_t_psi, contains_t_psi
+        for nematic, t, s, gamma, eta, in_t_psi, contains_t_psi
         in zip(col.nematic.tolist(), *texts)
     ]
     path = out_dir / "triangles.json"

@@ -36,15 +36,18 @@ class SphericalQuadrature:
     """Quadrature nodes on the unit sphere with exact antipodal pairing.
 
     ``antipode`` maps each node index to the index of its exact negation;
-    weights are positive and sum to the sphere area 4 pi.
+    weights are positive and sum to the sphere area 4 pi. ``ring_cos`` holds
+    the ascending polar cosines of the n rings: node i * 2n + j lies on ring i
+    at azimuth 2 pi j / 2n.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     antipode: np.ndarray
+    ring_cos: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.nodes, self.weights, self.antipode):
+        for arr in (self.nodes, self.weights, self.antipode, self.ring_cos):
             arr.setflags(write=False)
 
 
@@ -84,6 +87,7 @@ def build_quadrature(level: int) -> SphericalQuadrature:
         nodes=nodes.reshape(-1, 3),
         weights=weights.reshape(-1),
         antipode=antipode,
+        ring_cos=x,
     )
 
 
@@ -196,7 +200,7 @@ def load_density_csv(path, quad: SphericalQuadrature) -> Distribution:
     theta, phi, value = rows.T
     sin_theta = np.sin(theta)
     points = np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)], axis=1)
-    nearest = _nearest_nodes(points, quad.nodes)
+    nearest = _nearest_nodes(points, quad)
     n = len(quad.weights)
     sums = np.bincount(nearest, weights=value, minlength=n)  # adds in file order
     counts = np.bincount(nearest, minlength=n)
@@ -243,29 +247,46 @@ def _read_sample_lines(path, fh) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 3)
 
 
-# Points per matmul; at level 16 the dot products (1.2 MB) stay in cache.
-_CHUNK_ROWS = 256
 # Bound on the rounding gap between two evaluations of one dot product of unit
 # vectors; a second node within it of the best makes the ranking order-sensitive.
 _TIE_GAP = 1e-12
 
 
-def _nearest_nodes(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Per point, the node index that ``np.argmax(nodes @ p)`` gives.
+def _nearest_nodes(points: np.ndarray, quad: SphericalQuadrature) -> np.ndarray:
+    """Per point, the node index that ``np.argmax(quad.nodes @ p)`` gives.
 
-    The dot products come from one matmul per chunk of points. Different BLAS
-    kernels round them differently in the last bit, so a point with a second
-    node within ``_TIE_GAP`` of its best is ranked again with ``nodes @ p``.
+    The nodes lie on rings of constant cos(theta), all with the same n_azi
+    azimuths. On every ring p . node peaks at the azimuth nearest p's. Along
+    it p . node = R cos(theta_ring - alpha) peaks at the ring nearest alpha, the
+    polar angle of (p . azimuth, p_z), which is within (1 - cos(pi / n_azi)) / 2
+    of p's own, less than half a ring spacing. So the best node is one of the
+    2 x 2 around p. A point whose runner-up among them is within ``_TIE_GAP``
+    of its best is ranked again with ``quad.nodes @ p``, whose rounding decides
+    such ties. No node outside the four comes nearer the best than that
+    runner-up: the other azimuth is the second nearest on its ring, and other
+    rings trail by R (1 - cos(ring spacing)) or more.
     """
-    nearest = np.empty(len(points), dtype=np.intp)
-    for start in range(0, len(points), _CHUNK_ROWS):
-        chunk = points[start:start + _CHUNK_ROWS]
-        dots = chunk @ nodes.T
-        rows = np.arange(len(chunk))
-        best = dots.argmax(axis=1)
-        top = dots[rows, best]
-        nearest[start:start + len(chunk)] = best
-        dots[rows, best] = -np.inf
-        for r in np.flatnonzero(top - dots.max(axis=1) <= _TIE_GAP):
-            nearest[start + r] = np.argmax(nodes @ chunk[r].copy())
+    ring_cos = quad.ring_cos
+    ring_sin = np.sqrt(np.maximum(1.0 - ring_cos * ring_cos, 0.0))
+    n_azi = 2 * len(ring_cos)
+    step = 2.0 * np.pi / n_azi
+    # azimuth tables over k = -n_azi / 2 - 1 .. n_azi / 2 + 1, shifted to start at 0
+    k = np.arange(-n_azi // 2 - 1, n_azi // 2 + 2)
+    cos_azi, sin_azi, azi_index = np.cos(step * k), np.sin(step * k), k % n_azi
+    px, py, pz = points.T.copy()
+    u = np.arctan2(py, px) * (1.0 / step) + (n_azi // 2 + 1)
+    near = np.rint(u)
+    other = (near + np.copysign(1.0, u - near)).astype(np.intp)
+    near = near.astype(np.intp)
+    c = px * cos_azi[near] + py * sin_azi[near]  # rho cos(azimuth gap)
+    c_other = px * cos_azi[other] + py * sin_azi[other]
+    upper = np.searchsorted(ring_cos, pz).clip(1, len(ring_cos) - 1)
+    s_lo, s_hi = ring_sin[upper - 1], ring_sin[upper]
+    e_lo = s_lo * c + pz * ring_cos[upper - 1]
+    e_hi = s_hi * c + pz * ring_cos[upper]
+    up = e_hi > e_lo
+    gap = np.minimum(np.abs(e_hi - e_lo), np.where(up, s_hi, s_lo) * (c - c_other))
+    nearest = (upper - 1 + up) * n_azi + azi_index[near]
+    for r in np.flatnonzero(gap <= _TIE_GAP):
+        nearest[r] = np.argmax(quad.nodes @ points[r].copy())
     return nearest

@@ -285,6 +285,8 @@ def _bulk_shift(s: np.ndarray, sy: float, grid: Grid3, c: float) -> float:
     return (sy - c * _edge_dirichlet_sum(s, grid)) / float(np.vdot(s, s))
 
 
+# overflow to inf or nan in a pass shows in its energy, and every energy is checked
+@np.errstate(over="ignore", invalid="ignore")
 def _flow(values: np.ndarray, grid: Grid3, c: float, bulk,
           cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
     """Energy-monotone L-BFGS flow of ``values`` (nx, ny, nz, ncomp) on interior nodes.

@@ -544,9 +544,8 @@ def test_command_errors_have_their_exit_code_and_message(tmp_path, capsys, args,
         cfg.write_text(text)
     if args[0] == "minimize":
         args = [*args, "--config", str(cfg)]
-    # the 1e100 start overflows the energy to inf on purpose
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = cli.main(["--out", str(tmp_path / "out"), *args])
+    # the 1e100 start overflows the energy to inf; pytest turns a RuntimeWarning into an error
+    rc = cli.main(["--out", str(tmp_path / "out"), *args])
     assert rc == code
     assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
     assert not list((tmp_path / "out").iterdir())
@@ -799,6 +798,14 @@ def test_sweep_writers_match_the_per_temperature_oracle(tmp_path_factory, materi
         assert (out / "phase.csv").read_text() == _oracle_phase_csv(m, temps)
         assert cli.cmd_triangles(cfg, out) == EXIT_OK
         assert (out / "triangles.json").read_text() == expected
+
+
+def test_negated_json_matches_json_dumps_of_the_negation():
+    rng = np.random.default_rng(16)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, np.inf, -np.inf, np.nan]
+    randoms = rng.integers(0, 2**64, 10_000, dtype=np.uint64).view(np.float64).tolist()
+    for x in special + randoms:
+        assert cli._negated_json(json.dumps(x)) == json.dumps([-x])[1:-1], x
 
 
 def test_sweeps_and_verify_agree_at_the_superheating_edge(tmp_path):

@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import Z
 from ldgq import (
@@ -172,9 +175,12 @@ def test_load_density_csv(tmp_path):
         load_density_csv(bad, quad)
 
 
+def _unit(theta, phi):
+    return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+
+
 def _loop_nearest(quad, theta, phi):
-    p = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
-    return int(np.argmax(quad.nodes @ p))
+    return int(np.argmax(quad.nodes @ _unit(theta, phi)))
 
 
 def _per_sample_loop(path, quad):
@@ -246,7 +252,49 @@ def test_nearest_nodes_match_the_per_sample_argmax_on_ties(level):
     sin_theta = np.sin(theta)
     points = np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)], axis=1)
     expected = [_loop_nearest(quad, t, p) for t, p in samples]
-    assert np.array_equal(_nearest_nodes(points, quad.nodes), expected)
+    assert np.array_equal(_nearest_nodes(points, quad), expected)
+
+
+_quadrature = lru_cache(maxsize=None)(build_quadrature)
+
+
+@st.composite
+def _level_and_points(draw):
+    """A level and unit points of one kind: random, on or between nodes, on the seam, near a pole."""
+    kind = draw(st.sampled_from(
+        ["random", "node", "antipode", "ring-midpoint", "azimuth-midpoint", "seam", "pole"]))
+    level = draw(st.integers(1, 64) | st.just(128) if kind == "pole" else st.integers(1, 64))
+    quad = _quadrature(level)
+    n_pol = level + 1
+    thetas = np.arccos(quad.ring_cos)
+    step = np.pi / n_pol
+    ring = st.integers(0, n_pol - 1)
+    azimuth = st.integers(-n_pol, n_pol)
+    phi = st.floats(-np.pi, np.pi)
+    point = {
+        "random": st.builds(_unit, st.floats(0.0, np.pi), phi),
+        "node": st.integers(0, len(quad.nodes) - 1).map(lambda i: quad.nodes[i]),
+        "antipode": st.integers(0, len(quad.nodes) - 1).map(lambda i: -quad.nodes[i]),
+        "ring-midpoint": st.builds(
+            lambda i, j: _unit(0.5 * (thetas[i] + thetas[i + 1]), j * step),
+            st.integers(0, n_pol - 2), azimuth),
+        "azimuth-midpoint": st.builds(lambda i, j: _unit(thetas[i], (j + 0.5) * step),
+                                      ring, azimuth),
+        "seam": st.builds(_unit, st.floats(0.0, np.pi), st.sampled_from([np.pi, -np.pi])),
+        "pole": st.builds(
+            lambda north, e, f: _unit(10.0 ** e if north else np.pi - 10.0 ** e, f),
+            st.booleans(), st.floats(-15.0, -2.0),
+            phi | azimuth.map(lambda j: j * step) | azimuth.map(lambda j: (j + 0.5) * step)),
+    }[kind]
+    return quad, np.array(draw(st.lists(point, min_size=1, max_size=24)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_level_and_points())
+def test_nearest_nodes_match_the_per_point_argmax(level_and_points):
+    quad, points = level_and_points
+    expected = [int(np.argmax(quad.nodes @ p)) for p in points]
+    assert np.array_equal(_nearest_nodes(points, quad), expected)
 
 
 def test_load_density_csv_ties_agree_with_loop(tmp_path):
