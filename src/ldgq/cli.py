@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds, bulk, moments, qtensor, solver
-from .errors import ConfigError, DivergenceError, FieldFormatError, LdgError
+from .errors import ConfigError, DivergenceError, LdgError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -114,15 +114,15 @@ _BOUNDARY_NEEDS = {
     "biaxial": ("s", "r", "e1", "e2"),
     "per-face": (*_FACES, "director"),
 }
-# the keys each functional variant reads besides 'variant'
-_VARIANT_USES = {"quartic": (), "gl": ("eps",), "polynomial": ("a2", "term")}
+# the keys each functional variant needs besides 'variant'
+_VARIANT_NEEDS = {"quartic": (), "gl": ("eps",), "polynomial": ("a2", "term")}
 # Every section, its keys and each key's reader; serialize_config writes the
 # keys in this order.
 _SCHEMA = {
     "material": dict.fromkeys(("alpha", "b", "c", "t_star", "elastic_l"), _FLOAT),
     "temperature": dict.fromkeys(("value", *_SWEEP), _FLOAT),
     "functional": {
-        "variant": _choice("variant", *_VARIANT_USES),
+        "variant": _choice("variant", *_VARIANT_NEEDS),
         "eps": _number(float, "positive"),
         "a2": _FLOAT,
         "term": _term,
@@ -187,10 +187,17 @@ def _construct(sections: dict, name: str, build):
         raise ConfigError(f"[{name}]: {exc}") from None
 
 
-def _reject_unused(vals: dict, name: str, choice: str, uses: tuple[str, ...]) -> None:
-    unused = set(vals) - set(uses)
+def _chosen(vals: dict, section: str, key: str, needs: dict, default=None) -> str:
+    """The section's choice under ``key``, once it has every key it needs and no other."""
+    choice = vals.get(key, default)
+    if choice is None:
+        raise ConfigError(f"[{section}] missing '{key}'")
+    if not set(needs[choice]) <= set(vals):
+        raise ConfigError(f"[{section}] {choice} needs {sorted(needs[choice])}")
+    unused = set(vals) - {key, *needs[choice]}
     if unused:
-        raise ConfigError(f"[{name}] {choice} does not use {sorted(unused)}")
+        raise ConfigError(f"[{section}] {choice} does not use {sorted(unused)}")
+    return choice
 
 
 def parse_config(text: str) -> RunConfig:
@@ -217,22 +224,15 @@ def parse_config(text: str) -> RunConfig:
             cfg["sweep"] = tuple(vals[k] for k in _SWEEP)
     if "functional" in sections:
         vals = sections["functional"]
-        variant = vals.get("variant", "quartic")
-        _reject_unused(vals, "functional", variant, ("variant", *_VARIANT_USES[variant]))
+        variant = _chosen(vals, "functional", "variant", _VARIANT_NEEDS, default="quartic")
         cfg.update(variant=variant, gl_eps=vals.get("eps"),
                    poly_a2=vals.get("a2"), poly_terms=tuple(vals.get("term", ())))
     if "grid" in sections:
         cfg["grid"] = _construct(sections, "grid", solver.Grid3)
     if "boundary" in sections:
         vals = sections["boundary"]
-        kind = vals.get("kind")
-        if kind is None:
-            raise ConfigError("[boundary] missing 'kind'")
-        needs = _BOUNDARY_NEEDS[kind]
-        if not set(needs) <= set(vals):
-            raise ConfigError(f"[boundary] {kind} needs {sorted(needs)}")
-        _reject_unused(vals, "boundary", kind, ("kind", *needs))
-        spec = {k: vals[k] for k in needs if k not in _FACES}
+        kind = _chosen(vals, "boundary", "kind", _BOUNDARY_NEEDS)
+        spec = {k: vals[k] for k in _BOUNDARY_NEEDS[kind] if k not in _FACES}
         if kind == "per-face":
             spec["faces"] = tuple(vals[k] for k in _FACES)
         cfg["boundary"] = BoundarySpec(kind=kind, **spec)
@@ -283,27 +283,21 @@ def _require(cfg: RunConfig, *names: str) -> None:
             raise ConfigError(f"this command needs the [{name}] block")
 
 
-def build_functional(cfg: RunConfig, temperature: float) -> bulk.BulkFunctional:
-    """The configured bulk density.
+def build_functional(cfg: RunConfig, temperature: Optional[float]) -> bulk.BulkFunctional:
+    """The configured bulk density; the polynomial one reads no temperature.
 
     The quartic and GL densities reject a temperature below the linear law's
     floor, as ``phase`` and ``triangles`` do.
     """
-    if cfg.variant in ("quartic", "gl"):
-        _require(cfg, "material")
-        bulk.linear_law_a(cfg.material, temperature)
-    if cfg.variant == "quartic":
-        return bulk.Quartic(cfg.material, temperature)
+    if cfg.variant == "polynomial":
+        try:
+            return bulk.Polynomial(cfg.poly_a2, cfg.poly_terms)
+        except ValueError as exc:
+            raise ConfigError(f"[functional]: {exc}") from None
+    bulk.linear_law_a(cfg.material, temperature)
     if cfg.variant == "gl":
-        if cfg.gl_eps is None:
-            raise ConfigError("[functional] gl variant needs eps")
         return bulk.GLPenalized(cfg.material, temperature, cfg.gl_eps)
-    if cfg.poly_a2 is None or not cfg.poly_terms:
-        raise ConfigError("[functional] polynomial variant needs a2 and term entries")
-    try:
-        return bulk.Polynomial(cfg.poly_a2, cfg.poly_terms)
-    except ValueError as exc:
-        raise ConfigError(f"[functional]: {exc}") from None
+    return bulk.Quartic(cfg.material, temperature)
 
 
 def boundary_values(grid: solver.Grid3, spec: BoundarySpec) -> np.ndarray:
@@ -462,6 +456,8 @@ def _audit_exit(audit: bounds.BoundAudit, converged: bool) -> int:
 
 
 def _functional_at_one_temperature(cfg: RunConfig, command: str) -> bulk.BulkFunctional:
+    if cfg.variant == "polynomial":
+        return build_functional(cfg, None)
     temps = _temperatures(cfg)
     if len(temps) != 1:
         raise ConfigError(f"{command} needs a single temperature, not a sweep")
@@ -588,16 +584,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_minimize(_load_config(args.config), out_dir)
         if args.command == "verify":
             return cmd_verify(args.field, _load_config(args.config), out_dir)
-        if args.command == "moments":
-            return cmd_moments(args.density, args.level, out_dir)
-        raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, FieldFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return cmd_moments(args.density, args.level, out_dir)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except LdgError as exc:
+    except (LdgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

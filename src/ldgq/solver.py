@@ -517,9 +517,10 @@ def read_field(path) -> QField:
                 rows = np.loadtxt(fh, dtype=_NODE_ROW, comments=None, ndmin=1)
         except (ValueError, Warning):
             rows = None
-        # array_equal also checks the row count
+        # the row count first: the index table below has the header's size
         if (
             rows is not None
+            and len(rows) == grid.nx * grid.ny * grid.nz
             and np.array_equal(rows["index"], np.indices(grid.shape).reshape(3, -1).T)
             and np.isfinite(rows["coeffs"]).all()
         ):

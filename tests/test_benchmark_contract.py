@@ -4,7 +4,8 @@ The benchmark's tracer replaces module attributes and subclasses the bulk
 functionals, and its oracle reads keys of the written reports. A rename that
 breaks either would only show in a traced benchmark run, so these tests read
 ``perfbench/tracing.py`` and ``perfbench/oracle.py`` and check that every name
-they rely on still exists.
+they rely on still exists. They also parse the configs ``perfbench/gen.py``
+writes, so a stricter config rule cannot fail every benchmark op unseen.
 """
 
 import dataclasses
@@ -20,15 +21,15 @@ from ldgq.solver import SolveReport
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_function_exists():
-    wrapped = _tracing().WRAPPED
+    wrapped = _perfbench("tracing").WRAPPED
     assert wrapped
     for module, attr, _name in wrapped:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
@@ -48,3 +49,14 @@ def test_every_report_key_the_oracle_reads_exists():
             "dt_final"} <= report_keys
     assert audit_keys <= {f.name for f in dataclasses.fields(BoundAudit)}
     assert report_keys <= {f.name for f in dataclasses.fields(SolveReport)}
+
+
+def test_the_benchmark_inputs_parse():
+    # only the perfbench self-tests, outside tier-1, would otherwise see a parse
+    # rule that rejects them, and then every benchmark op fails
+    gen = _perfbench("gen")
+    for text in (gen.relax33_config(0), gen.relax_fine_config(0), gen.verify_config()):
+        cfg = cli.parse_config(text)
+        assert isinstance(cli.build_functional(cfg, cfg.temperature), BulkFunctional)
+    sweep = cli.parse_config(gen.sweep_config())
+    assert len(cli._temperatures(sweep)) == gen.SWEEP_ROWS

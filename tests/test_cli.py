@@ -131,8 +131,14 @@ GRID_LINES = "[grid]\nnx = 3\nny = 3\nnz = 3\nhx = 1\nhy = 1\nhz = 1\n"
      "[functional] quartic does not use ['a2', 'term']"),
     ("[functional]\neps = 0.1\n", "[functional] quartic does not use ['eps']"),
     ("[functional]\nvariant = gl\neps = 0.1\na2 = -0.2\n", "[functional] gl does not use ['a2']"),
-    ("[functional]\nvariant = polynomial\na2 = -0.2\neps = 0.1\n",
+    ("[functional]\nvariant = polynomial\na2 = -0.2\nterm = 0 1 -1\neps = 0.1\n",
      "[functional] polynomial does not use ['eps']"),
+    # the needed keys are checked before the unused ones, as for [boundary]
+    ("[functional]\nvariant = gl\n", "[functional] gl needs ['eps']"),
+    ("[functional]\nvariant = polynomial\na2 = -0.2\neps = 0.1\n",
+     "[functional] polynomial needs ['a2', 'term']"),
+    ("[functional]\nvariant = polynomial\nterm = 0 1 -1\n",
+     "[functional] polynomial needs ['a2', 'term']"),
     (MATERIAL_LINES.replace("b = 1", "b = 1e200").replace("c = 1", "c = 1e200"),
      "[material]: Material constants overflow: b^2, alpha c, b^4/c^3, t_star and elastic_l "
      "must be finite"),
@@ -282,6 +288,25 @@ def test_restarts_perturb_by_a_tenth_of_the_norm_bound(tmp_path, monkeypatch, t,
         draw = np.random.default_rng(seed).standard_normal(expected[~mask].shape)
         expected[~mask] += code_amp * draw
         assert np.array_equal(start, expected)
+
+
+def test_polynomial_minimize_and_verify_need_no_temperature(tmp_path):
+    # the polynomial density reads no temperature, so the block changes nothing
+    text = minimize_config(t=44.0, s0=0.45, nx=5).replace("variant = quartic",
+                                                         RELAX_FINE_FUNCTIONAL)
+    without = text.replace("[temperature]\nvalue = 44.0\n", "")
+    assert without != text
+    outs = {}
+    for name, config in (("with", text), ("without", without)):
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / name
+        cfg.write_text(config)
+        assert cli.main(["--out", str(out), "minimize", "--config", str(cfg)]) == EXIT_OK
+        rc = cli.main(["--out", str(out), "verify", str(out / "field.ldgq"), "--config", str(cfg)])
+        assert rc == EXIT_OK
+        outs[name] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(outs["with"]) == ["audit.json", "field.ldgq", "solve_report.json",
+                                    "verify_audit.json"]
+    assert outs["with"] == outs["without"]
 
 
 def test_minimize_outputs_are_byte_identical_and_report_a_trace(tmp_path):
@@ -474,6 +499,34 @@ def test_minimize_rejects_keys_the_choice_does_not_use(tmp_path, capsys, edit):
     assert rc == EXIT_PARSE
     assert "does not use" in capsys.readouterr().err
     assert not (tmp_path / "solve_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["phase", "triangles", "minimize", "verify"])
+def test_gl_without_eps_is_a_config_error_on_every_command(tmp_path, capsys, command):
+    # checked at parse time, so the sweeps, which read no functional, reject it too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(minimize_config(nx=5).replace("variant = quartic", "variant = gl"))
+    field = tmp_path / "in.ldgq"
+    write_field(field, QField.constant(Grid3(5, 5, 5, 1.0, 1.0, 1.0),
+                                       uniaxial_coeffs(0.5, [0, 0, 1])))
+    args = ["verify", str(field)] if command == "verify" else [command]
+    rc = cli.main(["--out", str(tmp_path / "out"), *args, "--config", str(cfg)])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err == "error: [functional] gl needs ['eps']\n"
+    assert not list((tmp_path / "out").iterdir())
+
+
+def test_verify_counts_the_rows_before_sizing_the_header_grid(tmp_path, capsys):
+    # 1e15 nodes would need petabytes; the one body line is counted first
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(minimize_config(nx=5))
+    field = tmp_path / "huge.ldgq"
+    field.write_text("LDGQ1 100000 100000 100000 1.0 1.0 1.0\n0 0 0 0.0 0.0 0.0 0.0 0.0\n")
+    rc = cli.main(["--out", str(tmp_path / "out"), "verify", str(field), "--config", str(cfg)])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: {field}: expected 1000000000000000 node lines, found 1\n")
+    assert not list((tmp_path / "out").iterdir())
 
 
 def test_readme_config_example_round_trips():
