@@ -31,40 +31,21 @@ EXIT_AUDIT = 4
 EXIT_HYPOTHESIS = 5
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Dirichlet datum: constant uniaxial, constant biaxial, or per-face uniaxial."""
-
-    kind: str
-    s0: Optional[float] = None
-    director: Optional[tuple[float, float, float]] = None
-    s: Optional[float] = None
-    r: Optional[float] = None
-    e1: Optional[tuple[float, float, float]] = None
-    e2: Optional[tuple[float, float, float]] = None
-    faces: Optional[tuple[float, float, float, float, float, float]] = None
-
-
-@dataclass(frozen=True)
-class SolverBlock:
-    tol: float = 1e-8
-    max_iters: int = 200_000
-    restarts: int = 0
-    seed: int = 0
+_SOLVER_DEFAULTS = {"tol": 1e-8, "max_iters": 200_000, "restarts": 0, "seed": 0}
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The parsed config; ``functional``, ``boundary`` and ``solver`` hold their
+    sections' keys as read, with the variant and the solver defaults filled in."""
+
     material: Optional[bulk.Material] = None
     temperature: Optional[float] = None
     sweep: Optional[tuple[float, float, float]] = None
-    variant: str = "quartic"
-    gl_eps: Optional[float] = None
-    poly_a2: Optional[float] = None
-    poly_terms: tuple[tuple[int, int, float], ...] = ()
+    functional: dict = dataclasses.field(default_factory=lambda: {"variant": "quartic"})
     grid: Optional[solver.Grid3] = None
-    boundary: Optional[BoundarySpec] = None
-    solver: SolverBlock = SolverBlock()
+    boundary: Optional[dict] = None
+    solver: dict = dataclasses.field(default_factory=lambda: dict(_SOLVER_DEFAULTS))
 
 
 def _number(cast, rule: str = ""):
@@ -98,7 +79,7 @@ def _vector(key: str, value: str, lineno: int) -> tuple[float, ...]:
 
 
 def _term(key: str, value: str, lineno: int) -> tuple[int, int, float]:
-    """One 'term = m p coeff' line; the key repeats, and the terms are kept as a list."""
+    """One 'term = m p coeff' line; the key repeats, and the terms are kept as a tuple."""
     m, p, co = _vector(key, value, lineno)
     if m != int(m) or p != int(p):
         raise ConfigError(f"line {lineno}: term exponents must be integers")
@@ -108,7 +89,7 @@ def _term(key: str, value: str, lineno: int) -> tuple[int, int, float]:
 _FLOAT = _number(float)
 _SWEEP = ("start", "stop", "step")
 _FACES = ("xlo", "xhi", "ylo", "yhi", "zlo", "zhi")
-# the keys each boundary kind needs; BoundarySpec gets the faces as one tuple
+# the keys each boundary kind needs
 _BOUNDARY_NEEDS = {
     "uniaxial": ("s0", "director"),
     "biaxial": ("s", "r", "e1", "e2"),
@@ -146,7 +127,7 @@ _SCHEMA = {
 def _parse_sections(text: str) -> dict[str, dict[str, object]]:
     """Read every line against ``_SCHEMA``: {section: {key: value}}.
 
-    A repeated key keeps its last value, except ``term``, which collects a list.
+    A repeated key keeps its last value, except ``term``, which collects a tuple.
     """
     sections: dict[str, dict[str, object]] = {}
     current = None
@@ -168,11 +149,19 @@ def _parse_sections(text: str) -> dict[str, dict[str, object]]:
         read = _SCHEMA[current].get(key)
         if read is None:
             raise ConfigError(f"line {lineno}: unknown {current} key '{key}'")
+        value = read(key, value, lineno)
         if read is _term:
-            sections[current].setdefault(key, []).append(read(key, value, lineno))
-        else:
-            sections[current][key] = read(key, value, lineno)
+            value = (*sections[current].get(key, ()), value)
+        sections[current][key] = value
     return sections
+
+
+def _checked(name: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError raised as the section's ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{name}]: {exc}") from None
 
 
 def _construct(sections: dict, name: str, build):
@@ -181,10 +170,7 @@ def _construct(sections: dict, name: str, build):
     missing = set(_SCHEMA[name]) - set(vals)
     if missing:
         raise ConfigError(f"[{name}] missing keys: {sorted(missing)}")
-    try:
-        return build(**vals)
-    except ValueError as exc:
-        raise ConfigError(f"[{name}]: {exc}") from None
+    return _checked(name, build, **vals)
 
 
 def _chosen(vals: dict, section: str, key: str, needs: dict, default=None) -> str:
@@ -204,7 +190,9 @@ def parse_config(text: str) -> RunConfig:
     """Parse the flat sectioned key-value configuration format.
 
     ``_SCHEMA`` lists the sections, their keys and each key's reader; this
-    function applies the rules that span several keys.
+    function applies the rules that span several keys, the polynomial's term
+    rules and the boundary frame's among them, so every command rejects the
+    same configs.
     """
     sections = _parse_sections(text)
     cfg: dict = {}
@@ -222,22 +210,19 @@ def parse_config(text: str) -> RunConfig:
             if vals["step"] <= 0.0:
                 raise ConfigError("[temperature] sweep step must be positive")
             cfg["sweep"] = tuple(vals[k] for k in _SWEEP)
-    if "functional" in sections:
-        vals = sections["functional"]
-        variant = _chosen(vals, "functional", "variant", _VARIANT_NEEDS, default="quartic")
-        cfg.update(variant=variant, gl_eps=vals.get("eps"),
-                   poly_a2=vals.get("a2"), poly_terms=tuple(vals.get("term", ())))
+    vals = sections.get("functional", {})
+    variant = _chosen(vals, "functional", "variant", _VARIANT_NEEDS, default="quartic")
+    cfg["functional"] = {**vals, "variant": variant}
+    if variant == "polynomial":
+        _checked("functional", bulk.Polynomial, vals["a2"], vals["term"])
     if "grid" in sections:
         cfg["grid"] = _construct(sections, "grid", solver.Grid3)
     if "boundary" in sections:
         vals = sections["boundary"]
-        kind = _chosen(vals, "boundary", "kind", _BOUNDARY_NEEDS)
-        spec = {k: vals[k] for k in _BOUNDARY_NEEDS[kind] if k not in _FACES}
-        if kind == "per-face":
-            spec["faces"] = tuple(vals[k] for k in _FACES)
-        cfg["boundary"] = BoundarySpec(kind=kind, **spec)
-    if "solver" in sections:
-        cfg["solver"] = SolverBlock(**sections["solver"])
+        _chosen(vals, "boundary", "kind", _BOUNDARY_NEEDS)
+        _checked("boundary", _datum, vals)
+        cfg["boundary"] = vals
+    cfg["solver"] = {**_SOLVER_DEFAULTS, **sections.get("solver", {})}
     return RunConfig(**cfg)
 
 
@@ -258,12 +243,10 @@ def serialize_config(cfg: RunConfig) -> str:
     values = {
         "material": _fields(cfg.material),
         "temperature": {"value": cfg.temperature, **dict(zip(_SWEEP, cfg.sweep or ()))},
-        "functional": {"variant": cfg.variant, "eps": cfg.gl_eps, "a2": cfg.poly_a2,
-                       "term": cfg.poly_terms},
+        "functional": cfg.functional,
         "grid": _fields(cfg.grid),
-        "boundary": {**_fields(cfg.boundary),
-                     **dict(zip(_FACES, getattr(cfg.boundary, "faces", None) or ()))},
-        "solver": _fields(cfg.solver),
+        "boundary": cfg.boundary or {},
+        "solver": cfg.solver,
     }
     out: list[str] = []
     for name, keys in _SCHEMA.items():
@@ -289,35 +272,40 @@ def build_functional(cfg: RunConfig, temperature: Optional[float]) -> bulk.BulkF
     The quartic and GL densities reject a temperature below the linear law's
     floor, as ``phase`` and ``triangles`` do.
     """
-    if cfg.variant == "polynomial":
-        try:
-            return bulk.Polynomial(cfg.poly_a2, cfg.poly_terms)
-        except ValueError as exc:
-            raise ConfigError(f"[functional]: {exc}") from None
+    fun = cfg.functional
+    if fun["variant"] == "polynomial":
+        return bulk.Polynomial(fun["a2"], fun["term"])
     bulk.linear_law_a(cfg.material, temperature)
-    if cfg.variant == "gl":
-        return bulk.GLPenalized(cfg.material, temperature, cfg.gl_eps)
+    if fun["variant"] == "gl":
+        return bulk.GLPenalized(cfg.material, temperature, fun["eps"])
     return bulk.Quartic(cfg.material, temperature)
 
 
-def boundary_values(grid: solver.Grid3, spec: BoundarySpec) -> np.ndarray:
-    """Full-shape array whose face entries hold the Dirichlet datum."""
+def _datum(boundary: dict) -> np.ndarray:
+    """The constant datum's five coefficients, or per-face the director's at s = 1.
+
+    Raises FrameError for a director or an e1, e2 pair that is not a unit frame.
+    """
+    if boundary["kind"] == "biaxial":
+        return qtensor.make_biaxial(boundary["s"], boundary["r"], boundary["e1"],
+                                    boundary["e2"]).coeffs
+    return qtensor.uniaxial_coeffs(boundary.get("s0", 1.0), boundary["director"])
+
+
+def boundary_values(grid: solver.Grid3, boundary: dict) -> np.ndarray:
+    """Full-shape array whose face entries hold the ``[boundary]`` section's datum."""
     values = np.zeros(grid.shape + (5,))
-    if spec.kind == "uniaxial":
-        values[...] = qtensor.uniaxial_coeffs(spec.s0, spec.director)
-    elif spec.kind == "biaxial":
-        q = qtensor.make_biaxial(spec.s, spec.r, spec.e1, spec.e2)
-        values[...] = q.coeffs
-    else:
-        base = qtensor.uniaxial_coeffs(1.0, spec.director)
-        xlo, xhi, ylo, yhi, zlo, zhi = spec.faces
-        # later assignments win on edges and corners
-        values[:, :, 0] = zlo * base
-        values[:, :, -1] = zhi * base
-        values[:, 0, :] = ylo * base
-        values[:, -1, :] = yhi * base
-        values[0, :, :] = xlo * base
-        values[-1, :, :] = xhi * base
+    base = _datum(boundary)
+    if boundary["kind"] != "per-face":
+        values[...] = base
+        return values
+    # later assignments win on edges and corners
+    values[:, :, 0] = boundary["zlo"] * base
+    values[:, :, -1] = boundary["zhi"] * base
+    values[:, 0, :] = boundary["ylo"] * base
+    values[:, -1, :] = boundary["yhi"] * base
+    values[0, :, :] = boundary["xlo"] * base
+    values[-1, :, :] = boundary["xhi"] * base
     return values
 
 
@@ -456,7 +444,7 @@ def _audit_exit(audit: bounds.BoundAudit, converged: bool) -> int:
 
 
 def _functional_at_one_temperature(cfg: RunConfig, command: str) -> bulk.BulkFunctional:
-    if cfg.variant == "polynomial":
+    if cfg.functional["variant"] == "polynomial":
         return build_functional(cfg, None)
     temps = _temperatures(cfg)
     if len(temps) != 1:
@@ -468,12 +456,11 @@ def cmd_minimize(cfg: RunConfig, out_dir: Path) -> int:
     """Relax the harmonic start and each restart's perturbed one; write field, report, audit."""
     _require(cfg, "material", "grid", "boundary")
     fun = _functional_at_one_temperature(cfg, "minimize")
-    sblock = cfg.solver
     scfg = solver.SolverConfig(
         functional=fun,
         elastic_l=cfg.material.elastic_l,
-        tol_residual=sblock.tol,
-        max_iters=sblock.max_iters,
+        tol_residual=cfg.solver["tol"],
+        max_iters=cfg.solver["max_iters"],
     )
 
     bvals = boundary_values(cfg.grid, cfg.boundary)
@@ -483,7 +470,8 @@ def cmd_minimize(cfg: RunConfig, out_dir: Path) -> int:
     amp = 0.1 * bounds.norm_bound(fun, boundary_norm)[1]
 
     runs: list[tuple[solver.QField, solver.SolveReport]] = []
-    for seed in (None, *range(sblock.seed, sblock.seed + sblock.restarts)):
+    first_seed = cfg.solver["seed"]
+    for seed in (None, *range(first_seed, first_seed + cfg.solver["restarts"])):
         start = base_field
         if seed is not None:
             values = base_field.values.copy()

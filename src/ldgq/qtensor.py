@@ -240,15 +240,15 @@ def norm_and_region(s: float, r: float) -> tuple[float, str]:
     Regions: R1 = {s, r >= 0}, R2 = {s <= 0, r >= s}, R3 = {r <= 0, r <= s};
     boundary points go to the lowest-index matching region. Labels are only
     meaningful for externally labeled (s, r) pairs, since sorting eigenvalues
-    always produces a pair in R1.
+    always produces a pair in R1. Raises ValueError for a non-finite s or r.
     """
+    if not (np.isfinite(s) and np.isfinite(r)):
+        raise ValueError(f"s and r must be finite, got ({s}, {r})")
     norm2 = (2.0 / 3.0) * (s * s + r * r - s * r)
     if s >= 0.0 and r >= 0.0:
         region = "R1"
     elif s <= 0.0 and r >= s:
         region = "R2"
-    elif r <= 0.0 and r <= s:
+    else:  # outside R1 and R2 a finite pair has r < 0 and r < s
         region = "R3"
-    else:  # unreachable: the three regions cover the plane
-        raise AssertionError("region partition failed to match")
     return norm2, region

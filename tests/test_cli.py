@@ -139,6 +139,19 @@ GRID_LINES = "[grid]\nnx = 3\nny = 3\nnz = 3\nhx = 1\nhy = 1\nhz = 1\n"
      "[functional] polynomial needs ['a2', 'term']"),
     ("[functional]\nvariant = polynomial\nterm = 0 1 -1\n",
      "[functional] polynomial needs ['a2', 'term']"),
+    # the polynomial's own term rules and the boundary frame are parse-time rules too
+    ("[functional]\nvariant = polynomial\na2 = -0.2\nterm = 0 1 -1\n",
+     "[functional]: total degree must be even and >= 4, got 3"),
+    ("[boundary]\nkind = uniaxial\ns0 = 0.5\ndirector = 0 0 2\n",
+     "[boundary]: director must be a unit vector"),
+    ("[boundary]\nkind = per-face\nxlo = 1\nxhi = 1\nylo = 1\nyhi = 1\nzlo = 1\nzhi = 1\n"
+     "director = 0 0 0\n", "[boundary]: director must be a unit vector"),
+    ("[boundary]\nkind = biaxial\ns = 0.5\nr = 0.2\ne1 = 1 0 0\ne2 = 0 2 0\n",
+     "[boundary]: e1 and e2 must be unit vectors"),
+    ("[boundary]\nkind = biaxial\ns = 0.5\nr = 0.2\ne1 = 1 0 0\ne2 = 1 0 0\n",
+     "[boundary]: e1 and e2 must be orthogonal"),
+    ("[boundary]\nkind = biaxial\ns = 1.7e308\nr = -1.7e308\ne1 = 1 0 0\ne2 = 0 1 0\n",
+     "[boundary]: QTensor coefficients must be finite"),
     (MATERIAL_LINES.replace("b = 1", "b = 1e200").replace("c = 1", "c = 1e200"),
      "[material]: Material constants overflow: b^2, alpha c, b^4/c^3, t_star and elastic_l "
      "must be finite"),
@@ -152,21 +165,41 @@ def test_each_config_fault_has_its_message(text, message):
     assert str(exc.value) == message
 
 
-def test_config_roundtrip_idempotent():
-    text = minimize_config(extra="restarts = 2\nseed = 7\n")
+BOUNDARIES = {
+    "uniaxial": "kind = uniaxial\ns0 = 0.8\ndirector = 0 0 1",
+    "biaxial": "kind = biaxial\ns = 0.5\nr = 0.2\ne1 = 1 0 0\ne2 = 0 1 0",
+    "per-face": "kind = per-face\nxlo = 0.2\nxhi = 0.3\nylo = 0.4\nyhi = 0.5\nzlo = 0.6\n"
+                "zhi = 0.7\ndirector = 0 0 1",
+}
+VARIANTS = {
+    "quartic": "variant = quartic",
+    "gl": "variant = gl\neps = 0.1",
+    "polynomial": "variant = polynomial\na2 = -0.2\nterm = 0 1 -1.0\nterm = 2 0 0.5",
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("kind", BOUNDARIES)
+def test_config_roundtrip_every_kind_and_variant(kind, variant):
+    text = (minimize_config(extra="restarts = 2\nseed = 7\n")
+            .replace(BOUNDARIES["uniaxial"], BOUNDARIES[kind])
+            .replace(VARIANTS["quartic"], VARIANTS[variant]))
     cfg = parse_config(text)
+    assert cfg.boundary["kind"] == kind and cfg.functional["variant"] == variant
     assert parse_config(serialize_config(cfg)) == cfg
-    # sweeps and other variants round-trip too
+
+
+def test_config_roundtrip_idempotent():
+    # sweeps, the defaults and repeated terms; minimize configs are checked above
     sweep = MATERIAL_KJ + "\n[temperature]\nstart = 44.0\nstop = 47.0\nstep = 0.5\n"
     cfg = parse_config(sweep)
     assert parse_config(serialize_config(cfg)) == cfg
-    poly = MATERIAL_KJ + (
-        "\n[functional]\nvariant = polynomial\na2 = -0.2\n"
-        "term = 0 1 -1.0\nterm = 2 0 0.5\n"
-    )
+    assert cfg.functional == {"variant": "quartic"}
+    assert cfg.solver == {"tol": 1e-8, "max_iters": 200_000, "restarts": 0, "seed": 0}
+    poly = MATERIAL_KJ + "\n[functional]\n" + VARIANTS["polynomial"] + "\n"
     cfg = parse_config(poly)
     assert parse_config(serialize_config(cfg)) == cfg
-    assert cfg.poly_terms == ((0, 1, -1.0), (2, 0, 0.5))
+    assert cfg.functional["term"] == ((0, 1, -1.0), (2, 0, 0.5))
 
 
 def test_phase_sweep_csv(tmp_path):
@@ -501,18 +534,37 @@ def test_minimize_rejects_keys_the_choice_does_not_use(tmp_path, capsys, edit):
     assert not (tmp_path / "solve_report.json").exists()
 
 
-@pytest.mark.parametrize("command", ["phase", "triangles", "minimize", "verify"])
-def test_gl_without_eps_is_a_config_error_on_every_command(tmp_path, capsys, command):
-    # checked at parse time, so the sweeps, which read no functional, reject it too
+def run_command(tmp_path, command, text) -> int:
+    """Run ``command`` on the config ``text``; verify reads a 5^3 uniaxial field."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(minimize_config(nx=5).replace("variant = quartic", "variant = gl"))
+    cfg.write_text(text)
     field = tmp_path / "in.ldgq"
     write_field(field, QField.constant(Grid3(5, 5, 5, 1.0, 1.0, 1.0),
                                        uniaxial_coeffs(0.5, [0, 0, 1])))
     args = ["verify", str(field)] if command == "verify" else [command]
-    rc = cli.main(["--out", str(tmp_path / "out"), *args, "--config", str(cfg)])
-    assert rc == EXIT_PARSE
+    return cli.main(["--out", str(tmp_path / "out"), *args, "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("command", ["phase", "triangles", "minimize", "verify"])
+def test_gl_without_eps_is_a_config_error_on_every_command(tmp_path, capsys, command):
+    # checked at parse time, so the sweeps, which read no functional, reject it too
+    text = minimize_config(nx=5).replace("variant = quartic", "variant = gl")
+    assert run_command(tmp_path, command, text) == EXIT_PARSE
     assert capsys.readouterr().err == "error: [functional] gl needs ['eps']\n"
+    assert not list((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("command", ["phase", "triangles", "minimize", "verify"])
+@pytest.mark.parametrize("old, new, message", [
+    ("variant = quartic", "variant = polynomial\na2 = -0.2\nterm = 0 1 -1",
+     "[functional]: total degree must be even and >= 4, got 3"),
+    ("director = 0 0 1", "director = 0 0 2", "[boundary]: director must be a unit vector"),
+], ids=["polynomial-degree", "director"])
+def test_term_and_frame_rules_are_config_errors_on_every_command(tmp_path, capsys, command,
+                                                                 old, new, message):
+    # phase and triangles build neither the polynomial nor the boundary, yet reject both
+    assert run_command(tmp_path, command, minimize_config(nx=5).replace(old, new)) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not list((tmp_path / "out").iterdir())
 
 
@@ -604,13 +656,10 @@ def test_command_errors_have_their_exit_code_and_message(tmp_path, capsys, args,
     assert not list((tmp_path / "out").iterdir())
 
 
-@pytest.mark.parametrize("boundary", [
-    "kind = biaxial\ns = 0.5\nr = 0.2\ne1 = 1 0 0\ne2 = 0 1 0",
-    "kind = per-face\nxlo = 0.2\nxhi = 0.3\nylo = 0.4\nyhi = 0.5\nzlo = 0.6\nzhi = 0.7\n"
-    "director = 0 0 1",
-], ids=["biaxial", "per-face"])
+@pytest.mark.parametrize("boundary", [BOUNDARIES["biaxial"], BOUNDARIES["per-face"]],
+                         ids=["biaxial", "per-face"])
 def test_minimize_keeps_the_boundary_datum_on_the_faces(tmp_path, boundary):
-    text = RUN.replace("kind = uniaxial\ns0 = 0.8\ndirector = 0 0 1", boundary)
+    text = RUN.replace(BOUNDARIES["uniaxial"], boundary)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     assert cli.main(["--out", str(tmp_path), "minimize", "--config", str(cfg)]) == EXIT_OK
@@ -623,9 +672,8 @@ def test_minimize_keeps_the_boundary_datum_on_the_faces(tmp_path, boundary):
 def test_per_face_edges_take_the_x_face_then_the_y_face():
     # boundary_values assigns the z faces first and the x faces last
     faces = dict(zip(("xlo", "xhi", "ylo", "yhi", "zlo", "zhi"), (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)))
-    spec = cli.BoundarySpec(kind="per-face", director=(0.0, 0.0, 1.0),
-                            faces=tuple(faces.values()))
-    values = cli.boundary_values(Grid3(4, 4, 4, 1.0, 1.0, 1.0), spec)
+    boundary = {"kind": "per-face", "director": (0.0, 0.0, 1.0), **faces}
+    values = cli.boundary_values(Grid3(4, 4, 4, 1.0, 1.0, 1.0), boundary)
     base = uniaxial_coeffs(1.0, [0, 0, 1])
     for node, face in [((0, 1, 0), "xlo"), ((3, 2, 3), "xhi"),  # x-z edges
                        ((1, 0, 0), "ylo"), ((2, 3, 3), "yhi"),  # y-z edges

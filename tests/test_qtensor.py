@@ -184,6 +184,12 @@ def test_norm_and_region_examples():
     assert norm_and_region(0.5, -0.5)[1] == "R3"
 
 
+@pytest.mark.parametrize("s, r", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 1.0), (1.0, -np.inf)])
+def test_norm_and_region_rejects_non_finite_pairs(s, r):
+    with pytest.raises(ValueError, match="s and r must be finite"):
+        norm_and_region(s, r)
+
+
 def test_norm_identity_and_region_inequalities():
     rng = np.random.default_rng(29)
     for _ in range(500):
