@@ -31,7 +31,10 @@ EXIT_AUDIT = 4
 EXIT_HYPOTHESIS = 5
 
 
-_SOLVER_DEFAULTS = {"tol": 1e-8, "max_iters": 200_000, "restarts": 0, "seed": 0}
+_SOLVER_DEFAULTS = {"tol": solver.SolverConfig.tol_residual,
+                    "max_iters": solver.SolverConfig.max_iters, "restarts": 0, "seed": 0}
+# The most float64 values numpy can size in one array; a larger count cannot be held.
+_MAX_VALUES = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,9 @@ def parse_config(text: str) -> RunConfig:
     if variant == "polynomial":
         _checked("functional", bulk.Polynomial, vals["a2"], vals["term"])
     if "grid" in sections:
-        cfg["grid"] = _construct(sections, "grid", solver.Grid3)
+        grid = cfg["grid"] = _construct(sections, "grid", solver.Grid3)
+        if math.prod(grid.shape) * 5 > _MAX_VALUES:
+            raise ConfigError(f"[grid] {grid.nx} x {grid.ny} x {grid.nz} is too large to hold")
     if "boundary" in sections:
         vals = sections["boundary"]
         _chosen(vals, "boundary", "kind", _BOUNDARY_NEEDS)
@@ -318,6 +323,8 @@ def _temperatures(cfg: RunConfig) -> np.ndarray:
         last = np.floor((stop - start) / step * (1.0 + 1e-12) + 1e-9)
         if not math.isfinite(last):
             raise ConfigError("[temperature] sweep has no finite number of temperatures")
+        if last >= _MAX_VALUES:
+            raise ConfigError("[temperature] sweep has too many temperatures to hold")
         return start + np.arange(max(int(last) + 1, 0)) * step
     raise ConfigError("this command needs a [temperature] block")
 
@@ -464,7 +471,7 @@ def cmd_minimize(cfg: RunConfig, out_dir: Path) -> int:
     )
 
     bvals = boundary_values(cfg.grid, cfg.boundary)
-    base_field = solver.harmonic_interior(solver.QField.from_boundary(cfg.grid, bvals))
+    base_field = solver.harmonic_interior(solver.QField(cfg.grid, bvals))
     interior = ~base_field.boundary_mask
     boundary_norm = float(base_field.norms()[base_field.boundary_mask].max())
     amp = 0.1 * bounds.norm_bound(fun, boundary_norm)[1]
@@ -512,6 +519,8 @@ def cmd_moments(density_csv: str, level: int, out_dir: Path) -> int:
     """Second-moment oracle for a sampled density."""
     if level < 1:
         raise ConfigError("--level must be >= 1")
+    if 6 * (level + 1) ** 2 > _MAX_VALUES:  # the quadrature's 2 (level + 1)^2 unit vectors
+        raise ConfigError(f"--level {level} is too large to hold")
     quad = moments.build_quadrature(level)
     psi = moments.load_density_csv(density_csv, quad)
     q = moments.q_from_psi(psi, quad)
@@ -564,20 +573,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     out_dir = Path(args.out or os.environ.get("LDGQ_OUT") or ".")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "phase":
-            return cmd_phase(_load_config(args.config), out_dir)
-        if args.command == "triangles":
-            return cmd_triangles(_load_config(args.config), out_dir)
-        if args.command == "minimize":
-            return cmd_minimize(_load_config(args.config), out_dir)
+        if args.command == "moments":
+            return cmd_moments(args.density, args.level, out_dir)
+        cfg = _load_config(args.config)
         if args.command == "verify":
-            return cmd_verify(args.field, _load_config(args.config), out_dir)
-        return cmd_moments(args.density, args.level, out_dir)
+            return cmd_verify(args.field, cfg, out_dir)
+        return {"phase": cmd_phase, "triangles": cmd_triangles,
+                "minimize": cmd_minimize}[args.command](cfg, out_dir)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (LdgError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LdgError, OSError, MemoryError) as exc:  # MemoryError: an input too large to hold
+        print("error:", str(exc) or "out of memory", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -477,25 +477,21 @@ def harmonic_interior(field: QField) -> QField:
     return field.with_values(np.moveaxis(q, 0, -1).copy())
 
 
+def _node_index(grid: Grid3) -> np.ndarray:
+    """The (i, j, k) of each LDGQ1 node line, i slowest and k fastest, as (nx, ny * nz, 3)."""
+    return np.moveaxis(np.indices(grid.shape), 0, -1).reshape(grid.nx, -1, 3)
+
+
 def write_field(path, field: QField) -> None:
-    """Write a field in the LDGQ1 text format with round-trip float precision."""
+    """Write a field in the LDGQ1 text format with round-trip floats, one i-plane at a time."""
     grid = field.grid
-    lines = [
-        f"LDGQ1 {grid.nx} {grid.ny} {grid.nz} "
-        f"{float(grid.hx)!r} {float(grid.hy)!r} {float(grid.hz)!r}"
-    ]
-    vals = field.values
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            for k in range(grid.nz):
-                q = vals[i, j, k]
-                lines.append(
-                    f"{i} {j} {k} "
-                    f"{float(q[0])!r} {float(q[1])!r} {float(q[2])!r} "
-                    f"{float(q[3])!r} {float(q[4])!r}"
-                )
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"LDGQ1 {grid.nx} {grid.ny} {grid.nz} "
+                 f"{float(grid.hx)!r} {float(grid.hy)!r} {float(grid.hz)!r}\n")
+        for index, plane in zip(_node_index(grid), field.values):
+            fh.write("".join(f"{i} {j} {k} {a!r} {b!r} {c!r} {d!r} {e!r}\n"
+                             for (i, j, k), (a, b, c, d, e)
+                             in zip(index.tolist(), plane.reshape(-1, 5).tolist())))
 
 
 # One LDGQ1 node line: three integer indices, then the five coefficients.
@@ -517,11 +513,11 @@ def read_field(path) -> QField:
                 rows = np.loadtxt(fh, dtype=_NODE_ROW, comments=None, ndmin=1)
         except (ValueError, Warning):
             rows = None
-        # the row count first: the index table below has the header's size
+        # the row count first: the node table has the header's size
         if (
             rows is not None
             and len(rows) == grid.nx * grid.ny * grid.nz
-            and np.array_equal(rows["index"], np.indices(grid.shape).reshape(3, -1).T)
+            and np.array_equal(rows["index"].reshape(grid.nx, -1, 3), _node_index(grid))
             and np.isfinite(rows["coeffs"]).all()
         ):
             return QField(grid, np.ascontiguousarray(rows["coeffs"]).reshape(grid.shape + (5,)))
@@ -556,25 +552,21 @@ def _read_node_lines(path, fh, grid: Grid3) -> np.ndarray:
         raise FieldFormatError(f"{path}: expected {expected} node lines, found {found}")
     fh.seek(0)
     # blank lines are skipped but counted, so diagnostics name the file's own line
-    nodes = ((n, ln.split()) for n, ln in enumerate(fh, start=1) if n > 1 and ln.strip())
-    values = np.empty(grid.shape + (5,))
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            for k in range(grid.nz):
-                lineno, toks = next(nodes)
-                if len(toks) != 8:
-                    raise FieldFormatError(f"{path}: line {lineno}: expected 8 fields")
-                try:
-                    ii, jj, kk = int(toks[0]), int(toks[1]), int(toks[2])
-                    q = [float(tok) for tok in toks[3:]]
-                except ValueError as exc:
-                    raise FieldFormatError(f"{path}: line {lineno}: {exc}") from None
-                if (ii, jj, kk) != (i, j, k):
-                    raise FieldFormatError(
-                        f"{path}: line {lineno}: node index ({ii} {jj} {kk}) out of order, "
-                        f"expected ({i} {j} {k})"
-                    )
-                if not all(math.isfinite(v) for v in q):
-                    raise FieldFormatError(f"{path}: line {lineno}: non-finite value")
-                values[i, j, k] = q
-    return values
+    lines = ((n, ln.split()) for n, ln in enumerate(fh, start=1) if n > 1 and ln.strip())
+    nodes = (node for index in _node_index(grid) for node in index.tolist())
+    values = np.empty((expected, 5))
+    for row, ((lineno, toks), (i, j, k)) in enumerate(zip(lines, nodes)):
+        if len(toks) != 8:
+            raise FieldFormatError(f"{path}: line {lineno}: expected 8 fields")
+        try:
+            ii, jj, kk = int(toks[0]), int(toks[1]), int(toks[2])
+            q = [float(tok) for tok in toks[3:]]
+        except ValueError as exc:
+            raise FieldFormatError(f"{path}: line {lineno}: {exc}") from None
+        if (ii, jj, kk) != (i, j, k):
+            raise FieldFormatError(f"{path}: line {lineno}: node index ({ii} {jj} {kk}) "
+                                   f"out of order, expected ({i} {j} {k})")
+        if not all(math.isfinite(v) for v in q):
+            raise FieldFormatError(f"{path}: line {lineno}: non-finite value")
+        values[row] = q
+    return values.reshape(grid.shape + (5,))

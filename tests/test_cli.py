@@ -627,6 +627,7 @@ def test_gl_minimize_and_verify_where_the_closed_form_radicand_is_negative(tmp_p
 
 
 RUN = minimize_config(nx=5)
+SWEEP_TO = MATERIAL_KJ + "[temperature]\nstart = 0\nstop = {}\nstep = 1\n"
 
 
 @pytest.mark.parametrize("args, text, message, code", [
@@ -641,13 +642,31 @@ RUN = minimize_config(nx=5)
      "cannot read config {cfg}: [Errno 2] No such file or directory: '{cfg}'", EXIT_PARSE),
     (["minimize"], RUN.replace("s0 = 0.8", "s0 = 1e100"),
      "initial field has non-finite energy", EXIT_DIVERGENCE),
-], ids=["missing-block", "no-temperature", "sweep", "level", "unreadable-config", "divergence"])
+    # inputs too large to hold, each failing before any memory is touched: a count
+    # numpy cannot size (above intp) or an allocation of PiB, beyond any address space
+    (["minimize"], minimize_config(nx=1000000),
+     "[grid] 1000000 x 1000000 x 1000000 is too large to hold", EXIT_PARSE),
+    (["minimize"], minimize_config(nx=100000), "Unable to allocate 35.5 PiB for an array "
+     "with shape (100000, 100000, 100000, 5) and data type float64", EXIT_PARSE),
+    (["phase"], SWEEP_TO.format("1e15"), "Unable to allocate 7.11 PiB for an array with "
+     "shape (1000000000001001,) and data type int64", EXIT_PARSE),
+    (["phase"], SWEEP_TO.format("1e30"),
+     "[temperature] sweep has too many temperatures to hold", EXIT_PARSE),
+    (["triangles"], SWEEP_TO.format("1e30"),
+     "[temperature] sweep has too many temperatures to hold", EXIT_PARSE),
+    (["moments", "density.csv", "--level", str(10**15)], None,
+     f"--level {10**15} is too large to hold", EXIT_PARSE),
+    (["moments", "density.csv", "--level", str(2**64)], None,
+     f"--level {2**64} is too large to hold", EXIT_PARSE),
+], ids=["missing-block", "no-temperature", "sweep", "level", "unreadable-config", "divergence",
+        "grid-1e6", "grid-1e5", "sweep-1e15", "sweep-1e30", "triangles-1e30", "level-1e15",
+        "level-2^64"])
 def test_command_errors_have_their_exit_code_and_message(tmp_path, capsys, args, text, message,
                                                          code):
     cfg = tmp_path / "run.cfg"
     if text is not None:
         cfg.write_text(text)
-    if args[0] == "minimize":
+    if args[0] != "moments":
         args = [*args, "--config", str(cfg)]
     # the 1e100 start overflows the energy to inf; pytest turns a RuntimeWarning into an error
     rc = cli.main(["--out", str(tmp_path / "out"), *args])

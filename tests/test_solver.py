@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -788,6 +789,37 @@ def test_read_field_diagnostics_name_file_lines(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FieldFormatError, match=r": line 6: node index \(0 9 2\)"):
         read_field(path)
+
+
+def test_field_file_bytes_match_a_per_node_writer(tmp_path):
+    # the reader shares the writer's node table, so a round trip cannot catch a
+    # transposed order; this reference spells the LDGQ1 layout out node by node
+    grid = Grid3(3, 4, 5, 0.25, 1.0, 0.5)
+    values = np.random.default_rng(3).standard_normal(grid.shape + (5,))
+    values[1, 2, 3] = [0.0, -0.0, 5e-324, 1.0 / 3.0, -1.7976931348623157e308]
+    path = tmp_path / "field.ldgq"
+    write_field(path, QField(grid, values))
+    lines = ["LDGQ1 3 4 5 0.25 1.0 0.5"]
+    for i in range(3):
+        for j in range(4):
+            for k in range(5):
+                lines.append(f"{i} {j} {k} " + " ".join(repr(float(v)) for v in values[i, j, k]))
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_write_field_holds_less_than_its_file(tmp_path):
+    # the text is made one i-plane at a time; a writer that holds the whole body
+    # as lines peaks at 13.5 MB for this 3.8 MB file
+    grid = Grid3(33, 33, 33, 1.0, 1.0, 1.0)
+    field = QField(grid, np.random.default_rng(0).standard_normal(grid.shape + (5,)))
+    path = tmp_path / "field.ldgq"
+    tracemalloc.start()
+    try:
+        write_field(path, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
 
 
 def test_field_file_roundtrip_and_rejections(tmp_path):
