@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -55,6 +56,8 @@ __all__ = [
     "el_residual",
     "minimize",
     "minimize_uniaxial_fixed_director",
+    "minimize_on_director_line",
+    "merge_reports",
     "harmonic_interior",
     "write_field",
     "read_field",
@@ -287,8 +290,8 @@ def _bulk_shift(s: np.ndarray, sy: float, grid: Grid3, c: float) -> float:
 
 # overflow to inf or nan in a pass shows in its energy, and every energy is checked
 @np.errstate(over="ignore", invalid="ignore")
-def _flow(values: np.ndarray, grid: Grid3, c: float, bulk,
-          cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
+def _flow(values: np.ndarray, grid: Grid3, c: float, bulk, cfg: SolverConfig,
+          hessian_bound=None) -> tuple[np.ndarray, SolveReport]:
     """Energy-monotone L-BFGS flow of ``values`` (nx, ny, nz, ncomp) on interior nodes.
 
     It runs on a component-major (ncomp, nx, ny, nz) copy. Every trial is one
@@ -297,8 +300,9 @@ def _flow(values: np.ndarray, grid: Grid3, c: float, bulk,
     and one ``_energy_and_residual`` pass with ``bulk``. If a quasi-Newton trial would
     raise the energy beyond roundoff, the memory is dropped (a fallback) and the plain
     step x solving (I/dt - c lap_h) x = residual is tried, halving dt (a rejected step)
-    until it does not. dt starts at 0.9 over the sampled Hessian bound of ``bulk`` on the
-    initial field (``_sampled_hessian_bound``).
+    until it does not. dt starts at 0.9 over ``hessian_bound`` of the component-major
+    initial field, by default the sampled Hessian bound of ``bulk`` on it
+    (``_sampled_hessian_bound``).
     ``energy_history_monotone`` is False if an accepted energy ever rose above the
     lowest one before it by more than that allowance. The report's ``trace`` holds
     (iteration, energy, residual max norm, shift of the accepted trial) for the
@@ -308,7 +312,9 @@ def _flow(values: np.ndarray, grid: Grid3, c: float, bulk,
     energy, res = _energy_and_residual(q, grid, c, bulk)
     if not math.isfinite(energy):
         raise DivergenceError("initial field has non-finite energy")
-    dt = dt_initial = 0.9 / _sampled_hessian_bound(bulk, q)
+    if hessian_bound is None:
+        hessian_bound = partial(_sampled_hessian_bound, bulk)
+    dt = dt_initial = 0.9 / hessian_bound(q)
     solve = _shifted_solver(grid, c)
     iterations = fallbacks = rejected_steps = 0
     lowest, monotone = energy, True
@@ -422,12 +428,68 @@ def minimize_uniaxial_fixed_director(grid: Grid3, s_boundary, director,
         hypothesis = s_plus is not None and bool(
             (bvals > 0.0).all() and (bvals < min(s_plus, 1.0)).all())
 
-    def bulk(svals):  # the one component s of Q = s base; the gradient projected onto base
-        density, gradient = fun.density_and_gradient(np.multiply.outer(base, svals[0]))
-        return density, np.tensordot(base, gradient, axes=1)[None]
-
-    values, report = _flow(s[..., None], grid, (4.0 / 3.0) * cfg.elastic_l, bulk, cfg)
+    values, report = _flow(s[..., None], grid, (4.0 / 3.0) * cfg.elastic_l,
+                           _line_bulk(fun, base), cfg)
     return values[..., 0].copy(), replace(report, hypothesis_met=hypothesis)
+
+
+def _line_bulk(fun: BulkFunctional, base: np.ndarray):
+    """Kernel of the one component t of Q = t ``base``: its density and gradient along base."""
+    def bulk(t):
+        density, gradient = fun.density_and_gradient(np.multiply.outer(base, t[0]))
+        return density, np.tensordot(base, gradient, axes=1)[None]
+    return bulk
+
+
+def minimize_on_director_line(start: QField, director,
+                              cfg: SolverConfig) -> tuple[QField, SolveReport]:
+    """Relax ``start`` on the line Q = t b of the unit uniaxial tensor b along ``director``.
+
+    Fields s(x) (n x n - I/3) with a constant n stay on that line under the flow, since
+    the Laplacian and the bulk gradient (built from Q and Q^2) keep them there. So the
+    flow runs on the one coordinate t = b.Q with c = 2 L (|b| = 1): the five-component
+    flow's energies, residual norms, dt and shifts, at one component's cost. dt starts
+    from the five-component Hessian bound on the lifted start. Returns t b with the face
+    bits of ``start``, for a five-component ``minimize`` to check.
+    """
+    unit = uniaxial_coeffs(1.0, director)
+    unit /= np.linalg.norm(unit)
+    fun = cfg.functional
+
+    def hessian_bound(t):  # of the five-component kernel, off the line too
+        return _sampled_hessian_bound(fun.density_and_gradient, np.multiply.outer(unit, t[0]))
+
+    t, report = _flow((start.values @ unit)[..., None], start.grid, 2.0 * cfg.elastic_l,
+                      _line_bulk(fun, unit), cfg, hessian_bound)
+    values = np.multiply.outer(t[..., 0], unit)
+    values[start.boundary_mask] = start.values[start.boundary_mask]
+    return start.with_values(values), report
+
+
+def merge_reports(line: SolveReport, check: SolveReport) -> SolveReport:
+    """One report for a line relaxation and the five-component ``minimize`` from its end.
+
+    The counts, dt range and trace rows are the line's trials; the final energy and
+    residual, ``converged`` and ``stop_reason`` are the check's, and so is the energy
+    and residual of the line's last row. Trials the check took add their counts and rows.
+    """
+    *rows, (iteration, _, _, shift) = line.trace
+    (_, energy, rmax, _), *more = check.trace
+    rows.append((iteration, energy, rmax, shift))
+    rows += [(iteration + i, e, r, sigma) for i, e, r, sigma in more]
+    dt_initial, dt_final = line.dt_initial, line.dt_final
+    if check.iterations + check.fallbacks + check.rejected_steps:  # the check took trials
+        dt_initial, dt_final = max(dt_initial, check.dt_initial), min(dt_final, check.dt_final)
+    return replace(
+        check,
+        iterations=line.iterations + check.iterations,
+        energy_history_monotone=line.energy_history_monotone and check.energy_history_monotone,
+        dt_initial=dt_initial,
+        dt_final=dt_final,
+        fallbacks=line.fallbacks + check.fallbacks,
+        rejected_steps=line.rejected_steps + check.rejected_steps,
+        trace=_thin(rows),
+    )
 
 
 def _dirichlet_eigh(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:

@@ -60,3 +60,27 @@ def test_the_benchmark_inputs_parse():
         assert isinstance(cli.build_functional(cfg, cfg.temperature), BulkFunctional)
     sweep = cli.parse_config(gen.sweep_config())
     assert len(cli._temperatures(sweep)) == gen.SWEEP_ROWS
+
+
+def test_minimize_runs_the_traced_layers_through_their_module_attributes(tmp_path, monkeypatch):
+    # The tracer replaces solver.harmonic_interior and solver.minimize as module
+    # attributes, so a benchmark minimize must still call both through them, and
+    # workload.init_residual reads the harmonic start from the tracer's last result.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workload.py imports its siblings
+    workload = _perfbench("workload")
+    for name, text in (("relax-33", workload.gen.relax33_config(0)),
+                       ("relax-fine", workload.gen.relax_fine_config(0))):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(text)
+        tracer = workload.tracing.Tracer()
+        tracer.install()
+        try:
+            rc = cli.main(["--out", str(tmp_path / name), "minimize", "--config", str(config)])
+        finally:
+            tracer.uninstall()
+        assert rc == 0
+        spans = [span[0] for span in tracer.spans]
+        assert spans.count("solver.harmonic_interior") == 1 and "solver.minimize" in spans
+        start = tracer.last_result["solver.harmonic_interior"]
+        assert start.grid == cli.parse_config(text).grid
+        assert workload.init_residual(tracer) < 1e-9

@@ -675,6 +675,20 @@ def test_command_errors_have_their_exit_code_and_message(tmp_path, capsys, args,
     assert not list((tmp_path / "out").iterdir())
 
 
+@pytest.mark.parametrize("command, text", [("phase", SWEEP_TO.format(50)),
+                                           ("triangles", SWEEP_TO.format(50)),
+                                           ("minimize", RUN)],
+                         ids=["phase", "triangles", "minimize"])
+def test_a_config_with_a_byte_order_mark_gives_the_same_outputs(tmp_path, command, text):
+    outs = []
+    for name, data in (("plain", text.encode()), ("bom", "﻿".encode() + text.encode())):
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / name
+        cfg.write_bytes(data)
+        assert cli.main(["--out", str(out), command, "--config", str(cfg)]) == EXIT_OK
+        outs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert outs[0] and outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("boundary", [BOUNDARIES["biaxial"], BOUNDARIES["per-face"]],
                          ids=["biaxial", "per-face"])
 def test_minimize_keeps_the_boundary_datum_on_the_faces(tmp_path, boundary):
@@ -686,6 +700,38 @@ def test_minimize_keeps_the_boundary_datum_on_the_faces(tmp_path, boundary):
     expected = cli.boundary_values(field.grid, parse_config(text).boundary)
     mask = field.boundary_mask
     assert np.array_equal(field.values[mask], expected[mask])
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDARIES))
+@pytest.mark.parametrize("min_interior", [0, 27, 28])
+def test_only_one_directors_data_relax_on_its_line(tmp_path, monkeypatch, kind, min_interior):
+    # biaxial data leave every director's line, so they never enter the line path,
+    # and neither do grids with fewer interior nodes than the threshold (27 at 5^3)
+    monkeypatch.setattr(cli, "_LINE_MIN_INTERIOR", min_interior)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN.replace(BOUNDARIES["uniaxial"], BOUNDARIES[kind]))
+    calls, relax = [], solver.minimize_on_director_line
+
+    def record(start, director, scfg):
+        calls.append(director)
+        return relax(start, director, scfg)
+
+    monkeypatch.setattr(solver, "minimize_on_director_line", record)
+    assert cli.main(["--out", str(tmp_path), "minimize", "--config", str(cfg)]) == EXIT_OK
+    on_line = kind != "biaxial" and min_interior <= 27
+    assert calls == ([(0.0, 0.0, 1.0)] if on_line else [])
+
+
+def test_the_line_and_its_five_component_check_share_one_iteration_budget(tmp_path,
+                                                                          monkeypatch):
+    monkeypatch.setattr(cli, "_LINE_MIN_INTERIOR", 0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(minimize_config(t=44.5, s0=0.7, nx=7, extra="max_iters = 3\n"))
+    assert cli.main(["--out", str(tmp_path), "minimize", "--config", str(cfg)]) == EXIT_DIVERGENCE
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert (report["iterations"], report["stop_reason"]) == (3, "max_iters")
+    assert report["trace"][-1][:3] == [3, report["final_energy"],
+                                       report["final_residual_maxnorm"]]
 
 
 def test_per_face_edges_take_the_x_face_then_the_y_face():

@@ -20,7 +20,7 @@ from ldgq import (
     stationary_scalars,
     uniaxial_coeffs,
 )
-from ldgq import elastic_bound_gamma, solver
+from ldgq import cli, elastic_bound_gamma, solver
 from ldgq.qtensor import BASIS, coeffs_to_matrices
 from ldgq.solver import (
     Grid3,
@@ -273,6 +273,123 @@ def test_fixed_director_pass_matches_matrix_formulation(shape, spacings, variant
     assert abs(got_energy - energy) <= 1e-12 * escale
     along = np.einsum("...ij,cij,c->...", res, BASIS, base)
     assert np.all(np.abs(got_res[0] - along) <= 1e-12 * np.sqrt(2.0 / 3.0) * rscale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(3, 6)] * 3),
+    spacings=st.tuples(*[st.floats(0.3, 3.0)] * 3),
+    variant=st.sampled_from(["quartic", "gl", "poly"]),
+    director=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+    radius=st.floats(0.01, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_director_line_pass_matches_matrix_formulation(shape, spacings, variant, director,
+                                                       radius, seed):
+    # One pass of the line flow on t: its energy is the matrix energy of Q = t b with
+    # the unit uniaxial b, its residual is the matrix residual's coefficient along b
+    # (c = 2 L, as |b| = 1), and the five-component residual of t b is parallel to b.
+    m = mbba(scale=1e-3)
+    cfg = SolverConfig(functional=_bulk_variant(variant, m, 44.0, 0.1), elastic_l=m.elastic_l,
+                       max_iters=0)
+    grid = Grid3(*shape, *spacings)
+    director = np.array(director) / np.linalg.norm(director)
+    unit = uniaxial_coeffs(1.0, director) / np.sqrt(2.0 / 3.0)
+    flows, flow = [], solver._flow
+
+    def capture(values, grid, c, bulk, cfg, hessian_bound):
+        flows.append((c, bulk))
+        return flow(values, grid, c, bulk, cfg, hessian_bound)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_flow", capture)
+        solver.minimize_on_director_line(uniform_boundary_field(grid, 0.3, director), director,
+                                         cfg)
+    (c, bulk), = flows
+    assert c == 2.0 * m.elastic_l
+    t = radius * np.random.default_rng(seed).standard_normal(grid.shape)
+    got_energy, got_res = solver._energy_and_residual(t[None], grid, c, bulk)
+    lifted = t[..., None] * unit
+    energy, escale, res, rscale = matrix_energy_and_residual(lifted, grid, cfg.functional,
+                                                             m.elastic_l)
+    assert abs(got_energy - energy) <= 1e-12 * escale
+    along = np.einsum("...ij,cij,c->...", res, BASIS, unit)
+    assert np.all(np.abs(got_res[0] - along) <= 1e-12 * rscale)
+    five = el_residual(QField(grid, lifted), cfg)
+    across = five - (five @ unit)[..., None] * unit
+    assert np.all(np.linalg.norm(across, axis=-1) <= 1e-12 * rscale)
+
+
+def _line_data(kind, grid, director, s):
+    """Boundary values of a ``uniaxial`` or ``per-face`` datum of scale ``s``."""
+    if kind == "uniaxial":
+        return cli.boundary_values(grid, {"kind": kind, "s0": s, "director": director})
+    faces = dict(zip(("xlo", "xhi", "ylo", "yhi", "zlo", "zhi"), s * np.linspace(0.2, 1.0, 6)))
+    return cli.boundary_values(grid, {"kind": kind, "director": director, **faces})
+
+
+@pytest.mark.parametrize("kind", ["uniaxial", "per-face"])
+@pytest.mark.parametrize("variant", ["quartic", "poly", "gl"])
+def test_director_line_relaxation_takes_the_five_component_trials(variant, kind):
+    # The line flow's trials are the five-component flow's from the same harmonic
+    # start, and the five-component minimize from its end takes no step.
+    m = mbba(scale=1e-3)
+    t = 45.5 if variant == "gl" else 44.0
+    cfg = SolverConfig(functional=_bulk_variant(variant, m, t, 0.3), elastic_l=m.elastic_l,
+                       tol_residual=1e-7)
+    grid = Grid3(9, 9, 9, 1.0, 1.0, 1.0)
+    director = np.array([1.0, 2.0, 2.0]) / 3.0
+    bvals = _line_data(kind, grid, director, 0.5 * min(stationary_scalars(m, t).s_plus, 1.0))
+    start = harmonic_interior(QField(grid, bvals))
+    _, five = minimize(start, cfg)
+    lifted, line = solver.minimize_on_director_line(start, director, cfg)
+    assert (line.iterations, line.fallbacks, line.rejected_steps) == (
+        five.iterations, five.fallbacks, five.rejected_steps)
+    assert line.iterations > 0 and line.converged
+    assert line.dt_initial == pytest.approx(five.dt_initial, rel=1e-12, abs=0.0)
+    assert line.final_energy == pytest.approx(five.final_energy, rel=1e-12, abs=0.0)
+    assert np.array_equal(lifted.values[lifted.boundary_mask], bvals[lifted.boundary_mask])
+    _, check = minimize(lifted, cfg)
+    assert check.iterations == check.fallbacks == check.rejected_steps == 0
+    assert check.final_energy == pytest.approx(five.final_energy, rel=1e-12, abs=0.0)
+
+
+def test_merged_report_counts_the_line_and_the_checks_trials():
+    m, cfg = quartic_cfg(t=44.0, tol_residual=1e-7)
+    grid = Grid3(7, 7, 7, 1.0, 1.0, 1.0)
+    start = harmonic_interior(uniform_boundary_field(grid, 0.5))
+    lifted, line = solver.minimize_on_director_line(start, Z, dataclasses.replace(cfg,
+                                                                                  max_iters=3))
+    _, check = minimize(lifted, cfg)
+    assert line.stop_reason == "max_iters" and check.iterations > 0
+    merged = solver.merge_reports(line, check)
+    assert merged.iterations == line.iterations + check.iterations
+    assert merged.fallbacks == line.fallbacks + check.fallbacks
+    assert merged.rejected_steps == line.rejected_steps + check.rejected_steps
+    assert (merged.final_energy, merged.converged, merged.stop_reason) == (
+        check.final_energy, True, "converged")
+    assert merged.trace[:3] == line.trace[:3]
+    assert merged.trace[3] == (3, check.trace[0][1], check.trace[0][2], line.trace[3][3])
+    assert merged.trace[-1] == (merged.iterations, *check.trace[-1][1:])
+    assert merged.dt_initial == max(line.dt_initial, check.dt_initial)
+    assert merged.dt_final == min(line.dt_final, check.dt_final)
+    # a check that takes no step changes only the last row's energy and residual
+    lifted, done = solver.minimize_on_director_line(start, Z, cfg)
+    _, idle = minimize(lifted, cfg)
+    merged = solver.merge_reports(done, idle)
+    assert idle.iterations == 0
+    assert dataclasses.replace(merged, trace=done.trace, final_energy=done.final_energy,
+                               final_residual_maxnorm=done.final_residual_maxnorm) == done
+    assert merged.trace[-1] == (done.iterations, idle.final_energy,
+                                idle.final_residual_maxnorm, done.trace[-1][3])
+
+
+def test_director_line_divergence_raises_without_a_numpy_warning():
+    # the start overflows the energy; the five-component dt probe must not run first
+    m, cfg = quartic_cfg(t=44.0)
+    grid = Grid3(5, 5, 5, 1.0, 1.0, 1.0)
+    with pytest.raises(DivergenceError, match="initial field has non-finite energy"):
+        solver.minimize_on_director_line(uniform_boundary_field(grid, 1e100), Z, cfg)
 
 
 def test_minimize_already_stationary_takes_zero_iterations():
