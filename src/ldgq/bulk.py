@@ -105,13 +105,16 @@ class BulkFunctional:
     ``density`` and ``gradient`` take (..., 5) views of the one kernel on arrays (5, ...).
     """
 
-    def density_and_gradient(self, q) -> tuple[np.ndarray, np.ndarray]:
+    def density_and_gradient(self, q, square=None) -> tuple[np.ndarray, np.ndarray]:
         """Density, shape (...), and its gradient, shape (5, ...), for coefficients (5, ...).
 
         The gradient is exact (to roundoff), from d tr Q^2 = 2 c and d tr Q^3 = 3 Q^2; the
         basis spans only traceless matrices, so the trace constraint never enters.
+        ``square`` replaces ``square_coeffs`` (the traceless part of Q^2) when given: on a
+        coordinate t of Q = t b along a unit uniaxial b, t -> t^2/sqrt(6) makes this the
+        exact kernel of t, with q of shape (1, ...).
         """
-        sq = square_coeffs(q, axis=0)
+        sq = square_coeffs(q, axis=0) if square is None else square(q)
         tr2 = np.einsum("c...,c...->...", q, q)
         tr3 = np.einsum("c...,c...->...", q, sq)
         dens = self.a2 * tr2
@@ -220,8 +223,8 @@ class GLPenalized(BulkFunctional):
     def quartic(self) -> Quartic:
         return Quartic(self.material, self.temperature)
 
-    def density_and_gradient(self, q):
-        dens, grad = self.quartic.density_and_gradient(q)
+    def density_and_gradient(self, q, square=None):
+        dens, grad = self.quartic.density_and_gradient(q, square)
         excess = np.maximum(np.einsum("c...,c...->...", q, q) - 1.0 / 6.0, 0.0)
         return dens + excess * excess / self.eps**2, grad + ((4.0 / self.eps**2) * excess) * q
 

@@ -36,9 +36,10 @@ _SOLVER_DEFAULTS = {"tol": solver.SolverConfig.tol_residual,
 # The most float64 values numpy can size in one array; a larger count cannot be held.
 _MAX_VALUES = np.iinfo(np.intp).max // 8
 # Fewest interior nodes on which uniaxial and per-face data relax on their director's
-# line. Below it the line saves about 2 ms of a 17^3 flow, and it would take the
-# benchmark's relax-fine op under the 25 ms sampling period of perfbench/refclock.py,
-# which counts such an op as failed (ROADMAP item 1). Once that is mended, this can be 0.
+# line. Below it the line saves about 4 ms of the 8 ms five-component flow at 17^3 (the
+# benchmark's relax-fine), and it could take that op under the 25 ms sampling period of
+# perfbench/refclock.py, which counts such an op as failed (ROADMAP item 1). Once that is
+# mended, this can be 0.
 _LINE_MIN_INTERIOR = 10_000
 
 

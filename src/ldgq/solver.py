@@ -5,11 +5,16 @@ bulk density over nodes plus the elastic Dirichlet form summed over lattice
 edges, every term weighted with the full cell volume. With that quadrature
 the Euler-Lagrange residual (twice the elastic constant times the 7-point
 Laplacian minus the bulk gradient) is the exact negative energy gradient per
-unit node volume at every interior node. One descent loop serves both
-minimizers: ``minimize`` relaxes the five coefficients with c = 2 L, and
+unit node volume at every interior node. One descent loop serves the three
+minimizers: ``minimize`` relaxes the five coefficients with c = 2 L,
 ``minimize_uniaxial_fixed_director`` relaxes the scalar s of
-Q = s (n x n - I/3) for a fixed n with c = (4/3) L, on the full energy
-restricted to that line.
+Q = s (n x n - I/3) for a fixed n with c = (4/3) L, and
+``minimize_on_director_line`` relaxes the coordinate t of Q = t b, b the unit
+uniaxial tensor along n, with c = 2 L; the last two on the full energy restricted
+to that line. Both line flows run the one bulk kernel on their one component: on
+Q = u b, tr Q^2 = u^2, tr Q^3 = u^3/sqrt(6) and the traceless part of Q^2 is
+u^2/sqrt(6) b, so the kernel with that square map is exact, and no pass forms a
+five-component array.
 
 Each step is preconditioned L-BFGS (Nocedal, Math. Comp. 35, 1980; Liu &
 Nocedal, Math. Prog. 45, 1989) with the last m = 2 pairs s (the accepted step)
@@ -43,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bulk import BulkFunctional, Quartic, stationary_scalars
+from .bulk import SQRT6, BulkFunctional, Quartic, stationary_scalars
 from .errors import DivergenceError, FieldFormatError
 from .qtensor import uniaxial_coeffs
 
@@ -429,15 +434,25 @@ def minimize_uniaxial_fixed_director(grid: Grid3, s_boundary, director,
             (bvals > 0.0).all() and (bvals < min(s_plus, 1.0)).all())
 
     values, report = _flow(s[..., None], grid, (4.0 / 3.0) * cfg.elastic_l,
-                           _line_bulk(fun, base), cfg)
+                           _line_bulk(fun, float(np.linalg.norm(base))), cfg)
     return values[..., 0].copy(), replace(report, hypothesis_met=hypothesis)
 
 
-def _line_bulk(fun: BulkFunctional, base: np.ndarray):
-    """Kernel of the one component t of Q = t ``base``: its density and gradient along base."""
+def _line_square(t: np.ndarray) -> np.ndarray:
+    """The traceless square of Q = t b, b the unit uniaxial tensor, as its coordinate on b."""
+    return t * t / SQRT6
+
+
+def _line_bulk(fun: BulkFunctional, scale: float):
+    """Kernel of the one component t of Q = t ``scale`` b, b the unit uniaxial tensor.
+
+    On that line tr Q^2 = u^2 and tr Q^3 = u^3/sqrt(6) with u = ``scale`` t, and Q^2's
+    traceless part is u^2/sqrt(6) b, so ``fun``'s kernel with ``_line_square`` on the one
+    component u is exact: the density of Q and, times ``scale``, its derivative in t.
+    """
     def bulk(t):
-        density, gradient = fun.density_and_gradient(np.multiply.outer(base, t[0]))
-        return density, np.tensordot(base, gradient, axes=1)[None]
+        density, gradient = fun.density_and_gradient(scale * t, square=_line_square)
+        return density, scale * gradient
     return bulk
 
 
@@ -460,7 +475,7 @@ def minimize_on_director_line(start: QField, director,
         return _sampled_hessian_bound(fun.density_and_gradient, np.multiply.outer(unit, t[0]))
 
     t, report = _flow((start.values @ unit)[..., None], start.grid, 2.0 * cfg.elastic_l,
-                      _line_bulk(fun, unit), cfg, hessian_bound)
+                      _line_bulk(fun, 1.0), cfg, hessian_bound)
     values = np.multiply.outer(t[..., 0], unit)
     values[start.boundary_mask] = start.values[start.boundary_mask]
     return start.with_values(values), report

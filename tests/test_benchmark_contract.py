@@ -13,7 +13,7 @@ import importlib.util
 import re
 from pathlib import Path
 
-from ldgq import cli
+from ldgq import cli, solver
 from ldgq.bounds import BoundAudit
 from ldgq.bulk import BulkFunctional
 from ldgq.solver import SolveReport
@@ -84,3 +84,27 @@ def test_minimize_runs_the_traced_layers_through_their_module_attributes(tmp_pat
         start = tracer.last_result["solver.harmonic_interior"]
         assert start.grid == cli.parse_config(text).grid
         assert workload.init_residual(tracer) < 1e-9
+
+
+def test_relax_fine_keeps_the_five_component_path(tmp_path, monkeypatch):
+    # The benchmark's relax-fine op (17^3) runs under refclock's 25 ms sampling period
+    # once it relaxes on the director line, and an op without a sample counts as
+    # failed (ROADMAP item 1). So relax-fine stays under cli._LINE_MIN_INTERIOR, and
+    # relax-33 relaxes on the line once. This test goes away with ROADMAP item 6 (c),
+    # which removes the threshold after item 1 mends short ops.
+    gen = _perfbench("gen")
+    calls = []
+    on_line = solver.minimize_on_director_line
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].grid.shape)
+        return on_line(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "minimize_on_director_line", counted)
+    for name, text, expected in (("relax-fine", gen.relax_fine_config(0), []),
+                                 ("relax-33", gen.relax33_config(0), [(33, 33, 33)])):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(text)
+        calls.clear()
+        assert cli.main(["--out", str(tmp_path / name), "minimize", "--config", str(config)]) == 0
+        assert calls == expected, name

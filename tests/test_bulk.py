@@ -23,6 +23,7 @@ from ldgq import (
     uniaxial_coeffs,
 )
 from ldgq.qtensor import BASIS, coeffs_to_matrices, square_coeffs, trace_invariants
+from ldgq.solver import _line_bulk
 
 
 def grad_scale(fun, q):
@@ -221,18 +222,71 @@ def test_kernels_match_matrix_formulation(shape, radius, t, eps, seed):
         assert_close(fun.density(c), dens, dscale)
         assert_close(fun.gradient(c), grad, gscale)
 
-    # the penalty adds (|Q|^2 - 1/6)^2 / eps^2 above |Q| = 1/sqrt(6) only
     gl = GLPenalized(m, t, eps)
-    dens, grad = matrix_kernels(*quartic, c)
-    dscale, gscale = kernel_scales(*quartic, c)
-    tr2 = (c * c).sum(-1)
-    excess = np.maximum(tr2 - 1.0 / 6.0, 0.0)
-    dens = dens + excess**2 / eps**2
-    grad = grad + (4.0 / eps**2 * excess)[..., None] * c
-    dscale = dscale + excess**2 / eps**2
-    gscale = gscale + 4.0 / eps**2 * excess * np.sqrt(tr2)
+    dens, grad, dscale, gscale = gl_matrix_kernels(gl, c)
     assert_close(gl.density(c), dens, dscale)
     assert_close(gl.gradient(c), grad, gscale)
+
+
+def gl_matrix_kernels(gl, coeffs):
+    """``matrix_kernels`` of ``gl`` and their ``kernel_scales``, the penalty included."""
+    quartic = gl.quartic
+    dens, grad = matrix_kernels(quartic.a2, quartic.terms, coeffs)
+    dscale, gscale = kernel_scales(quartic.a2, quartic.terms, coeffs)
+    # the penalty adds (|Q|^2 - 1/6)^2 / eps^2 above |Q| = 1/sqrt(6) only
+    tr2 = (coeffs * coeffs).sum(-1)
+    excess = np.maximum(tr2 - 1.0 / 6.0, 0.0)
+    penalty = excess**2 / gl.eps**2
+    slope = 4.0 / gl.eps**2 * excess
+    return (dens + penalty, grad + slope[..., None] * coeffs,
+            dscale + penalty, gscale + slope * np.sqrt(tr2))
+
+
+# The benchmark's relax-fine density: the T = 44 MBBA quartic (kJ/m^3) plus 0.5 (tr Q^2)^3.
+BENCH_SEXTIC = Polynomial(a2=0.5 * 0.42 * (44.0 - 45.0),
+                          terms=((0, 1, -6.4 / 3.0), (2, 0, 3.5 / 4.0), (3, 0, 0.5)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    radius=st.floats(0.01, 3.0),
+    t=st.floats(40.0, 50.0),
+    eps=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_line_kernel_matches_matrix_formulation_and_the_lift(n, radius, t, eps, seed):
+    # On Q = u b, b the unit uniaxial tensor along a director, the kernel with
+    # ``square = _line_square`` is the density of Q and b . dF/dQ. The flows use it
+    # for the coordinate t of Q = t (scale b): scale 1 on the director line, and
+    # |uniaxial_coeffs(1, n)| for the fixed-director s.
+    m = mbba(scale=1e-3)
+    rng = np.random.default_rng(seed)
+    director = rng.standard_normal(3)
+    director /= np.linalg.norm(director)
+    base = uniaxial_coeffs(1.0, director)
+    # both signs, and both sides of the GL threshold |Q| = 1/sqrt(6)
+    near = np.array([-1.001, -0.999, 0.999, 1.001]) / np.sqrt(6.0)
+    u = np.concatenate([radius * rng.uniform(-1.0, 1.0, n), near])
+    gl = GLPenalized(m, t, eps)
+    for fun in (Quartic(m, t), BENCH_SEXTIC, gl):
+        for vec, scale in ((base / np.linalg.norm(base), 1.0), (base, np.linalg.norm(base))):
+            s = u / scale
+            q = np.multiply.outer(s, vec)  # node-major, as the matrix kernels take it
+            if fun is gl:
+                dens, grad, dscale, gscale = gl_matrix_kernels(gl, q)
+            else:
+                dens, grad = matrix_kernels(fun.a2, fun.terms, q)
+                dscale, gscale = kernel_scales(fun.a2, fun.terms, q)
+            gscale = gscale * scale
+            got_dens, got_grad = _line_bulk(fun, scale)(s[None])
+            assert got_grad.shape == (1, s.size)
+            assert_close(got_dens, dens, dscale)
+            assert_close(got_grad[0], grad @ vec, gscale)
+            # and the five-component kernel on Q itself, projected on vec
+            lift_dens, lift_grad = fun.density_and_gradient(q.T)
+            assert_close(got_dens, lift_dens, dscale)
+            assert_close(got_grad[0], vec @ lift_grad, gscale)
 
 
 @settings(max_examples=25, deadline=None)

@@ -21,7 +21,7 @@ from ldgq import (
     uniaxial_coeffs,
 )
 from ldgq import cli, elastic_bound_gamma, solver
-from ldgq.qtensor import BASIS, coeffs_to_matrices
+from ldgq.qtensor import BASIS, coeffs_to_matrices, square_coeffs
 from ldgq.solver import (
     Grid3,
     QField,
@@ -390,6 +390,29 @@ def test_director_line_divergence_raises_without_a_numpy_warning():
     grid = Grid3(5, 5, 5, 1.0, 1.0, 1.0)
     with pytest.raises(DivergenceError, match="initial field has non-finite energy"):
         solver.minimize_on_director_line(uniform_boundary_field(grid, 1e100), Z, cfg)
+
+
+def test_line_flows_evaluate_the_five_component_kernel_only_in_the_dt_probe(monkeypatch):
+    # Both line flows run the bulk kernel on their one component, with the scalar
+    # square t^2/sqrt(6); only the director line's dt probe evaluates the
+    # five-component kernel, on 64 sampled nodes moved along each of 5 directions.
+    shapes = []
+
+    def counted(q, axis=-1):
+        shapes.append(np.shape(q))
+        return square_coeffs(q, axis)
+
+    monkeypatch.setattr("ldgq.bulk.square_coeffs", counted)
+    m, cfg = quartic_cfg(t=44.0, tol_residual=1e-7)
+    grid = Grid3(9, 9, 9, 1.0, 1.0, 1.0)
+    s0 = 0.5 * stationary_scalars(m, 44.0).s_plus
+    director = np.array([1.0, 2.0, 2.0]) / 3.0
+    _, line = solver.minimize_on_director_line(
+        harmonic_interior(uniform_boundary_field(grid, s0, director)), director, cfg)
+    _, fixed = minimize_uniaxial_fixed_director(grid, s0, director, cfg)
+    assert line.iterations > 0 and fixed.iterations > 0
+    assert shapes and all(len(shape) == 3 and shape[:2] == (5, 5) and shape[2] <= 64
+                          for shape in shapes), shapes
 
 
 def test_minimize_already_stationary_takes_zero_iterations():
