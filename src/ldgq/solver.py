@@ -5,16 +5,15 @@ bulk density over nodes plus the elastic Dirichlet form summed over lattice
 edges, every term weighted with the full cell volume. With that quadrature
 the Euler-Lagrange residual (twice the elastic constant times the 7-point
 Laplacian minus the bulk gradient) is the exact negative energy gradient per
-unit node volume at every interior node. One descent loop serves the three
-minimizers: ``minimize`` relaxes the five coefficients with c = 2 L,
-``minimize_uniaxial_fixed_director`` relaxes the scalar s of
-Q = s (n x n - I/3) for a fixed n with c = (4/3) L, and
+unit node volume at every interior node. One descent loop, with c = 2 L, serves
+the two flows: ``minimize`` relaxes the five coefficients, and
 ``minimize_on_director_line`` relaxes the coordinate t of Q = t b, b the unit
-uniaxial tensor along n, with c = 2 L; the last two on the full energy restricted
-to that line. Both line flows run the one bulk kernel on their one component: on
-Q = u b, tr Q^2 = u^2, tr Q^3 = u^3/sqrt(6) and the traceless part of Q^2 is
-u^2/sqrt(6) b, so the kernel with that square map is exact, and no pass forms a
-five-component array.
+uniaxial tensor along a director n, on the full energy restricted to that line.
+``minimize_uniaxial_fixed_director`` is the line flow in the units of the scalar s of
+Q = s (n x n - I/3) = s sqrt(2/3) b. The line flow runs the one bulk kernel on its
+one component: on Q = t b, tr Q^2 = t^2, tr Q^3 = t^3/sqrt(6) and the traceless part
+of Q^2 is t^2/sqrt(6) b, so the kernel with that square map is exact, and no pass
+forms a five-component array.
 
 Each step is preconditioned L-BFGS (Nocedal, Math. Comp. 35, 1980; Liu &
 Nocedal, Math. Prog. 45, 1989) with the last m = 2 pairs s (the accepted step)
@@ -295,14 +294,16 @@ def _bulk_shift(s: np.ndarray, sy: float, grid: Grid3, c: float) -> float:
 
 # overflow to inf or nan in a pass shows in its energy, and every energy is checked
 @np.errstate(over="ignore", invalid="ignore")
-def _flow(values: np.ndarray, grid: Grid3, c: float, bulk, cfg: SolverConfig,
+def _flow(values: np.ndarray, grid: Grid3, bulk, cfg: SolverConfig,
           hessian_bound=None) -> tuple[np.ndarray, SolveReport]:
     """Energy-monotone L-BFGS flow of ``values`` (nx, ny, nz, ncomp) on interior nodes.
 
-    It runs on a component-major (ncomp, nx, ny, nz) copy. Every trial is one
-    ``_lbfgs_step`` (the last ``_MEMORY`` pairs (s, y) applied to the residual with
-    H0 = (sigma I - c lap_h)^-1, sigma = max(``_bulk_shift`` of the newest pair, 0.1/dt))
-    and one ``_energy_and_residual`` pass with ``bulk``. If a quasi-Newton trial would
+    It runs on a component-major (ncomp, nx, ny, nz) copy with c = 2 ``cfg.elastic_l``,
+    the elastic constant of an orthonormal basis (five coefficients, or the unit b of
+    the director line). Every trial is one ``_lbfgs_step`` (the last ``_MEMORY`` pairs
+    (s, y) applied to the residual with H0 = (sigma I - c lap_h)^-1,
+    sigma = max(``_bulk_shift`` of the newest pair, 0.1/dt)) and one
+    ``_energy_and_residual`` pass with ``bulk``. If a quasi-Newton trial would
     raise the energy beyond roundoff, the memory is dropped (a fallback) and the plain
     step x solving (I/dt - c lap_h) x = residual is tried, halving dt (a rejected step)
     until it does not. dt starts at 0.9 over ``hessian_bound`` of the component-major
@@ -313,6 +314,7 @@ def _flow(values: np.ndarray, grid: Grid3, c: float, bulk, cfg: SolverConfig,
     (iteration, energy, residual max norm, shift of the accepted trial) for the
     initial field and each accepted iterate, thinned to ``_TRACE_ROWS`` rows.
     """
+    c = 2.0 * cfg.elastic_l
     q = np.moveaxis(values, -1, 0).copy()
     energy, res = _energy_and_residual(q, grid, c, bulk)
     if not math.isfinite(energy):
@@ -403,57 +405,13 @@ def minimize(initial: QField, cfg: SolverConfig) -> tuple[QField, SolveReport]:
     ``cfg.tol_residual``; hitting ``max_iters`` or a collapsed step returns the
     best (latest) iterate with ``converged`` False, and ``stop_reason`` says which.
     """
-    values, report = _flow(initial.values, initial.grid, 2.0 * cfg.elastic_l,
-                           cfg.functional.density_and_gradient, cfg)
+    values, report = _flow(initial.values, initial.grid, cfg.functional.density_and_gradient, cfg)
     return initial.with_values(values), report
-
-
-def minimize_uniaxial_fixed_director(grid: Grid3, s_boundary, director,
-                                     cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
-    """Minimize over uniaxial fields s(x) (n x n - I/3) with a fixed director n.
-
-    ``s_boundary`` is a constant or an (nx, ny, nz) array whose face entries
-    supply the Dirichlet datum. The elastic density reduces to (2/3) L |grad s|^2,
-    so the scalar flow uses (4/3) L times the scalar Laplacian. The report's
-    ``hypothesis_met`` records whether 0 < s_boundary < min(s_plus, 1) held
-    pointwise (only checkable for the quartic functional); the run proceeds
-    either way.
-    """
-    s_boundary = np.broadcast_to(np.asarray(s_boundary, dtype=float), grid.shape)
-    bvals = s_boundary[_face_mask(grid.shape)]
-    s = s_boundary.copy()
-    s[1:-1, 1:-1, 1:-1] = float(bvals.mean())
-
-    fun = cfg.functional
-    base = uniaxial_coeffs(1.0, director)
-
-    hypothesis: Optional[bool] = None
-    if isinstance(fun, Quartic):
-        s_plus = stationary_scalars(fun.material, fun.temperature).s_plus
-        hypothesis = s_plus is not None and bool(
-            (bvals > 0.0).all() and (bvals < min(s_plus, 1.0)).all())
-
-    values, report = _flow(s[..., None], grid, (4.0 / 3.0) * cfg.elastic_l,
-                           _line_bulk(fun, float(np.linalg.norm(base))), cfg)
-    return values[..., 0].copy(), replace(report, hypothesis_met=hypothesis)
 
 
 def _line_square(t: np.ndarray) -> np.ndarray:
     """The traceless square of Q = t b, b the unit uniaxial tensor, as its coordinate on b."""
     return t * t / SQRT6
-
-
-def _line_bulk(fun: BulkFunctional, scale: float):
-    """Kernel of the one component t of Q = t ``scale`` b, b the unit uniaxial tensor.
-
-    On that line tr Q^2 = u^2 and tr Q^3 = u^3/sqrt(6) with u = ``scale`` t, and Q^2's
-    traceless part is u^2/sqrt(6) b, so ``fun``'s kernel with ``_line_square`` on the one
-    component u is exact: the density of Q and, times ``scale``, its derivative in t.
-    """
-    def bulk(t):
-        density, gradient = fun.density_and_gradient(scale * t, square=_line_square)
-        return density, scale * gradient
-    return bulk
 
 
 def minimize_on_director_line(start: QField, director,
@@ -474,11 +432,51 @@ def minimize_on_director_line(start: QField, director,
     def hessian_bound(t):  # of the five-component kernel, off the line too
         return _sampled_hessian_bound(fun.density_and_gradient, np.multiply.outer(unit, t[0]))
 
-    t, report = _flow((start.values @ unit)[..., None], start.grid, 2.0 * cfg.elastic_l,
-                      _line_bulk(fun, 1.0), cfg, hessian_bound)
+    t, report = _flow((start.values @ unit)[..., None], start.grid,
+                      partial(fun.density_and_gradient, square=_line_square), cfg, hessian_bound)
     values = np.multiply.outer(t[..., 0], unit)
     values[start.boundary_mask] = start.values[start.boundary_mask]
     return start.with_values(values), report
+
+
+def minimize_uniaxial_fixed_director(grid: Grid3, s_boundary, director,
+                                     cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
+    """Minimize over uniaxial fields s(x) (n x n - I/3) with a fixed director n.
+
+    ``s_boundary`` is a constant or an (nx, ny, nz) array whose face entries
+    supply the Dirichlet datum; the interior starts at their mean. This is
+    ``minimize_on_director_line`` in s units: n x n - I/3 = |B| b with |B| = sqrt(2/3)
+    and b the unit uniaxial tensor, so s = t/|B|, the s-residual is |B| times the
+    t-residual, and the line runs to ``cfg.tol_residual``/|B|. The report's residuals
+    are in s units; its dt and shifts are the line flow's. Its ``hypothesis_met``
+    records whether 0 < s_boundary < min(s_plus, 1) held pointwise (only checkable
+    for the quartic functional); the run proceeds either way.
+    """
+    s_boundary = np.broadcast_to(np.asarray(s_boundary, dtype=float), grid.shape)
+    mask = _face_mask(grid.shape)
+    bvals = s_boundary[mask]
+    if not np.isfinite(bvals).all():
+        raise ValueError("s_boundary face values must be finite")
+    s = s_boundary.copy()
+    s[1:-1, 1:-1, 1:-1] = float(bvals.mean())
+
+    fun = cfg.functional
+    hypothesis: Optional[bool] = None
+    if isinstance(fun, Quartic):
+        s_plus = stationary_scalars(fun.material, fun.temperature).s_plus
+        hypothesis = s_plus is not None and bool(
+            (bvals > 0.0).all() and (bvals < min(s_plus, 1.0)).all())
+
+    base = uniaxial_coeffs(1.0, director)
+    norm = float(np.linalg.norm(base))
+    final, report = minimize_on_director_line(
+        QField(grid, uniaxial_coeffs(s, director)), director,
+        replace(cfg, tol_residual=cfg.tol_residual / norm))
+    s = final.values @ base / norm**2
+    s[mask] = bvals
+    trace = tuple((k, energy, norm * rmax, shift) for k, energy, rmax, shift in report.trace)
+    return s, replace(report, final_residual_maxnorm=norm * report.final_residual_maxnorm,
+                      trace=trace, hypothesis_met=hypothesis)
 
 
 def merge_reports(line: SolveReport, check: SolveReport) -> SolveReport:

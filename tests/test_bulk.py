@@ -23,7 +23,7 @@ from ldgq import (
     uniaxial_coeffs,
 )
 from ldgq.qtensor import BASIS, coeffs_to_matrices, square_coeffs, trace_invariants
-from ldgq.solver import _line_bulk
+from ldgq.solver import _line_square
 
 
 def grad_scale(fun, q):
@@ -257,36 +257,33 @@ BENCH_SEXTIC = Polynomial(a2=0.5 * 0.42 * (44.0 - 45.0),
 )
 def test_line_kernel_matches_matrix_formulation_and_the_lift(n, radius, t, eps, seed):
     # On Q = u b, b the unit uniaxial tensor along a director, the kernel with
-    # ``square = _line_square`` is the density of Q and b . dF/dQ. The flows use it
-    # for the coordinate t of Q = t (scale b): scale 1 on the director line, and
-    # |uniaxial_coeffs(1, n)| for the fixed-director s.
+    # ``square = _line_square`` is the density of Q and b . dF/dQ. The line flow
+    # uses it for the coordinate t of Q = t b.
     m = mbba(scale=1e-3)
     rng = np.random.default_rng(seed)
     director = rng.standard_normal(3)
     director /= np.linalg.norm(director)
-    base = uniaxial_coeffs(1.0, director)
+    unit = uniaxial_coeffs(1.0, director)
+    unit /= np.linalg.norm(unit)
     # both signs, and both sides of the GL threshold |Q| = 1/sqrt(6)
     near = np.array([-1.001, -0.999, 0.999, 1.001]) / np.sqrt(6.0)
     u = np.concatenate([radius * rng.uniform(-1.0, 1.0, n), near])
+    q = np.multiply.outer(u, unit)  # node-major, as the matrix kernels take it
     gl = GLPenalized(m, t, eps)
     for fun in (Quartic(m, t), BENCH_SEXTIC, gl):
-        for vec, scale in ((base / np.linalg.norm(base), 1.0), (base, np.linalg.norm(base))):
-            s = u / scale
-            q = np.multiply.outer(s, vec)  # node-major, as the matrix kernels take it
-            if fun is gl:
-                dens, grad, dscale, gscale = gl_matrix_kernels(gl, q)
-            else:
-                dens, grad = matrix_kernels(fun.a2, fun.terms, q)
-                dscale, gscale = kernel_scales(fun.a2, fun.terms, q)
-            gscale = gscale * scale
-            got_dens, got_grad = _line_bulk(fun, scale)(s[None])
-            assert got_grad.shape == (1, s.size)
-            assert_close(got_dens, dens, dscale)
-            assert_close(got_grad[0], grad @ vec, gscale)
-            # and the five-component kernel on Q itself, projected on vec
-            lift_dens, lift_grad = fun.density_and_gradient(q.T)
-            assert_close(got_dens, lift_dens, dscale)
-            assert_close(got_grad[0], vec @ lift_grad, gscale)
+        if fun is gl:
+            dens, grad, dscale, gscale = gl_matrix_kernels(gl, q)
+        else:
+            dens, grad = matrix_kernels(fun.a2, fun.terms, q)
+            dscale, gscale = kernel_scales(fun.a2, fun.terms, q)
+        got_dens, got_grad = fun.density_and_gradient(u[None], square=_line_square)
+        assert got_grad.shape == (1, u.size)
+        assert_close(got_dens, dens, dscale)
+        assert_close(got_grad[0], grad @ unit, gscale)
+        # and the five-component kernel on Q itself, projected on the unit b
+        lift_dens, lift_grad = fun.density_and_gradient(q.T)
+        assert_close(got_dens, lift_dens, dscale)
+        assert_close(got_grad[0], unit @ lift_grad, gscale)
 
 
 @settings(max_examples=25, deadline=None)

@@ -244,80 +244,47 @@ def test_fused_pass_matches_matrix_formulation(shape, spacings, variant, t, eps,
     radius=st.floats(0.01, 1.5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fixed_director_pass_matches_matrix_formulation(shape, spacings, variant, director,
-                                                        radius, seed):
-    # The one-component pass of the fixed-director flow: its energy is the matrix
-    # energy of the lifted field Q = s base, and its residual is the lifted
-    # matrix residual's coefficient along base (base . base = 2/3 turns 2 L into
-    # the scalar flow's (4/3) L).
-    m = mbba(scale=1e-3)
-    cfg = SolverConfig(functional=_bulk_variant(variant, m, 44.0, 0.1), elastic_l=m.elastic_l,
-                       max_iters=0)
-    grid = Grid3(*shape, *spacings)
-    director = np.array(director) / np.linalg.norm(director)
-    base = uniaxial_coeffs(1.0, director)
-    flows, flow = [], solver._flow
-
-    def capture(values, grid, c, bulk, cfg):
-        flows.append((c, bulk))
-        return flow(values, grid, c, bulk, cfg)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_flow", capture)
-        minimize_uniaxial_fixed_director(grid, 0.3, director, cfg)
-    (c, bulk), = flows
-    s = radius * np.random.default_rng(seed).standard_normal(grid.shape)
-    got_energy, got_res = solver._energy_and_residual(s[None], grid, c, bulk)
-    energy, escale, res, rscale = matrix_energy_and_residual(
-        uniaxial_coeffs(s, director), grid, cfg.functional, m.elastic_l)
-    assert abs(got_energy - energy) <= 1e-12 * escale
-    along = np.einsum("...ij,cij,c->...", res, BASIS, base)
-    assert np.all(np.abs(got_res[0] - along) <= 1e-12 * np.sqrt(2.0 / 3.0) * rscale)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    shape=st.tuples(*[st.integers(3, 6)] * 3),
-    spacings=st.tuples(*[st.floats(0.3, 3.0)] * 3),
-    variant=st.sampled_from(["quartic", "gl", "poly"]),
-    director=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
-    radius=st.floats(0.01, 1.5),
-    seed=st.integers(0, 2**32 - 1),
-)
 def test_director_line_pass_matches_matrix_formulation(shape, spacings, variant, director,
                                                        radius, seed):
     # One pass of the line flow on t: its energy is the matrix energy of Q = t b with
     # the unit uniaxial b, its residual is the matrix residual's coefficient along b
     # (c = 2 L, as |b| = 1), and the five-component residual of t b is parallel to b.
+    # The fixed-director solver runs that same flow, in s units.
     m = mbba(scale=1e-3)
     cfg = SolverConfig(functional=_bulk_variant(variant, m, 44.0, 0.1), elastic_l=m.elastic_l,
                        max_iters=0)
     grid = Grid3(*shape, *spacings)
     director = np.array(director) / np.linalg.norm(director)
     unit = uniaxial_coeffs(1.0, director) / np.sqrt(2.0 / 3.0)
-    flows, flow = [], solver._flow
-
-    def capture(values, grid, c, bulk, cfg, hessian_bound):
-        flows.append((c, bulk))
-        return flow(values, grid, c, bulk, cfg, hessian_bound)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_flow", capture)
-        solver.minimize_on_director_line(uniform_boundary_field(grid, 0.3, director), director,
-                                         cfg)
-    (c, bulk), = flows
-    assert c == 2.0 * m.elastic_l
     t = radius * np.random.default_rng(seed).standard_normal(grid.shape)
-    got_energy, got_res = solver._energy_and_residual(t[None], grid, c, bulk)
     lifted = t[..., None] * unit
     energy, escale, res, rscale = matrix_energy_and_residual(lifted, grid, cfg.functional,
                                                              m.elastic_l)
-    assert abs(got_energy - energy) <= 1e-12 * escale
     along = np.einsum("...ij,cij,c->...", res, BASIS, unit)
-    assert np.all(np.abs(got_res[0] - along) <= 1e-12 * rscale)
     five = el_residual(QField(grid, lifted), cfg)
     across = five - (five @ unit)[..., None] * unit
     assert np.all(np.linalg.norm(across, axis=-1) <= 1e-12 * rscale)
+    flow = solver._flow
+    for entry in (
+        lambda: solver.minimize_on_director_line(uniform_boundary_field(grid, 0.3, director),
+                                                 director, cfg),
+        lambda: minimize_uniaxial_fixed_director(grid, 0.3, director, cfg),
+    ):
+        flows = []
+
+        def capture(values, grid, bulk, cfg, hessian_bound=None):
+            flows.append((bulk, cfg))
+            return flow(values, grid, bulk, cfg, hessian_bound)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_flow", capture)
+            entry()
+        (bulk, flow_cfg), = flows
+        # _flow runs at c = 2 cfg.elastic_l: 2 L for both entry points
+        assert flow_cfg.elastic_l == m.elastic_l
+        got_energy, got_res = solver._energy_and_residual(t[None], grid, 2.0 * m.elastic_l, bulk)
+        assert abs(got_energy - energy) <= 1e-12 * escale
+        assert np.all(np.abs(got_res[0] - along) <= 1e-12 * rscale)
 
 
 def _line_data(kind, grid, director, s):
@@ -385,16 +352,31 @@ def test_merged_report_counts_the_line_and_the_checks_trials():
 
 
 def test_director_line_divergence_raises_without_a_numpy_warning():
-    # the start overflows the energy; the five-component dt probe must not run first
+    # the start overflows the energy; the five-component dt probe must not run first,
+    # and the fixed-director solver, the same flow in s units, meets the same check
     m, cfg = quartic_cfg(t=44.0)
     grid = Grid3(5, 5, 5, 1.0, 1.0, 1.0)
     with pytest.raises(DivergenceError, match="initial field has non-finite energy"):
         solver.minimize_on_director_line(uniform_boundary_field(grid, 1e100), Z, cfg)
+    with pytest.raises(DivergenceError, match="initial field has non-finite energy"):
+        minimize_uniaxial_fixed_director(grid, 1e100, Z, cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fixed_director_rejects_non_finite_data(bad):
+    # constant or on one face node, checked before any arithmetic on it
+    m, cfg = quartic_cfg(t=44.0)
+    grid = Grid3(5, 5, 5, 1.0, 1.0, 1.0)
+    per_node = np.full(grid.shape, 0.3)
+    per_node[0, 2, 3] = bad
+    for s_boundary in (bad, per_node):
+        with pytest.raises(ValueError, match="s_boundary face values must be finite"):
+            minimize_uniaxial_fixed_director(grid, s_boundary, Z, cfg)
 
 
 def test_line_flows_evaluate_the_five_component_kernel_only_in_the_dt_probe(monkeypatch):
-    # Both line flows run the bulk kernel on their one component, with the scalar
-    # square t^2/sqrt(6); only the director line's dt probe evaluates the
+    # The line flow, in t or in s units, runs the bulk kernel on its one component,
+    # with the scalar square t^2/sqrt(6); only its dt probe evaluates the
     # five-component kernel, on 64 sampled nodes moved along each of 5 directions.
     shapes = []
 
@@ -796,6 +778,47 @@ def test_uniaxial_hypothesis_flag_records_violation():
     assert report.hypothesis_met is False
 
 
+@pytest.mark.parametrize("data", ["constant", "per-node"])
+@pytest.mark.parametrize("variant", ["quartic", "poly", "gl"])
+def test_fixed_director_solver_is_the_line_flow_in_s_units(variant, data):
+    # From the boundary-mean start, the fixed-director solve is the director-line flow
+    # at tol/|B|, |B| = |n x n - I/3| = sqrt(2/3): the same trials and energies, s = t/|B|,
+    # and the residuals in s units, |B| times the line's.
+    m = mbba(scale=1e-3)
+    t = 45.5 if variant == "gl" else 44.0
+    cfg = SolverConfig(functional=_bulk_variant(variant, m, t, 0.3), elastic_l=m.elastic_l,
+                       tol_residual=1e-8)
+    grid = Grid3(9, 8, 7, 1.0, 0.9, 1.1)
+    director = np.array([1.0, 2.0, 2.0]) / 3.0
+    s_plus = stationary_scalars(m, t).s_plus
+    if data == "constant":
+        s_boundary = np.full(grid.shape, 0.5 * min(s_plus, 1.0))
+    else:
+        xs = np.linspace(0.2, 0.6, grid.nx) * min(s_plus, 1.0)
+        s_boundary = xs[:, None, None] + np.zeros(grid.shape)
+    mask = _face_mask(grid.shape)
+    start = s_boundary.copy()
+    start[~mask] = s_boundary[mask].mean()
+    norm = np.linalg.norm(uniaxial_coeffs(1.0, director))
+    assert norm == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-15)
+    line_field, line = solver.minimize_on_director_line(
+        QField(grid, uniaxial_coeffs(start, director)), director,
+        dataclasses.replace(cfg, tol_residual=cfg.tol_residual / norm))
+    s, fixed = minimize_uniaxial_fixed_director(grid, s_boundary, director, cfg)
+    assert line.converged and fixed.converged and line.iterations > 0
+    counts = ("iterations", "fallbacks", "rejected_steps", "dt_initial", "dt_final")
+    assert [getattr(fixed, k) for k in counts] == [getattr(line, k) for k in counts]
+    assert fixed.final_energy == pytest.approx(line.final_energy, rel=1e-12, abs=0.0)
+    t_line = line_field.values @ (uniaxial_coeffs(1.0, director) / norm)
+    assert np.abs(norm * s - t_line).max() <= 1e-14 * np.abs(t_line).max()
+    assert fixed.final_residual_maxnorm == pytest.approx(norm * line.final_residual_maxnorm,
+                                                         rel=1e-15, abs=0.0)
+    assert len(fixed.trace) == len(line.trace)
+    for (k, e, r, shift), (k_line, e_line, r_line, shift_line) in zip(fixed.trace, line.trace):
+        assert (k, e, shift) == (k_line, e_line, shift_line)
+        assert r == pytest.approx(norm * r_line, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("variant", ["quartic", "gl", "poly"])
 def test_fixed_director_flow_is_the_full_flow_restricted(variant):
     # The scalar flow minimizes the full energy on the line Q = s (n x n - I/3):
@@ -813,9 +836,12 @@ def test_fixed_director_flow_is_the_full_flow_restricted(variant):
     grid = Grid3(7, 6, 8, 0.9, 1.0, 1.2)
     director = np.array([1.0, 2.0, 2.0]) / 3.0
     ramp = np.linspace(0.2, 0.5, grid.nx)
-    s, report = minimize_uniaxial_fixed_director(
-        grid, np.broadcast_to(ramp[:, None, None], grid.shape), director, cfg)
+    s_boundary = np.broadcast_to(ramp[:, None, None], grid.shape)
+    s, report = minimize_uniaxial_fixed_director(grid, s_boundary, director, cfg)
     assert report.converged
+    # the Dirichlet bits, which s = t/|B| of the line's t would move by an ulp
+    mask = _face_mask(grid.shape)
+    assert np.array_equal(s[mask], s_boundary[mask])
     lifted = QField(grid, uniaxial_coeffs(s, director))
     assert report.final_energy == pytest.approx(discrete_energy(lifted, cfg), rel=1e-12)
     full = np.linalg.norm(el_residual(lifted, cfg), axis=-1).max()
