@@ -235,8 +235,29 @@ def test_fused_pass_matches_matrix_formulation(shape, spacings, variant, t, eps,
     assert np.all(err <= 1e-12 * rscale)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+def _captured_line_pass(entry, variant, shape, spacings, director):
+    """The bulk kernel of the one flow that ``entry(grid, director, cfg)`` runs, with its setup."""
+    m = mbba(scale=1e-3)
+    cfg = SolverConfig(functional=_bulk_variant(variant, m, 44.0, 0.1), elastic_l=m.elastic_l,
+                       max_iters=0)
+    grid = Grid3(*shape, *spacings)
+    director = np.array(director) / np.linalg.norm(director)
+    flows, flow = [], solver._flow
+
+    def capture(values, grid, bulk, cfg, hessian_bound=None):
+        flows.append((bulk, cfg))
+        return flow(values, grid, bulk, cfg, hessian_bound)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_flow", capture)
+        entry(grid, director, cfg)
+    (bulk, flow_cfg), = flows
+    # _flow runs at c = 2 cfg.elastic_l
+    assert flow_cfg.elastic_l == m.elastic_l
+    return m, cfg, grid, director, bulk
+
+
+_PASS_CASES = dict(
     shape=st.tuples(*[st.integers(3, 6)] * 3),
     spacings=st.tuples(*[st.floats(0.3, 3.0)] * 3),
     variant=st.sampled_from(["quartic", "gl", "poly"]),
@@ -244,47 +265,54 @@ def test_fused_pass_matches_matrix_formulation(shape, spacings, variant, t, eps,
     radius=st.floats(0.01, 1.5),
     seed=st.integers(0, 2**32 - 1),
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_PASS_CASES)
 def test_director_line_pass_matches_matrix_formulation(shape, spacings, variant, director,
                                                        radius, seed):
     # One pass of the line flow on t: its energy is the matrix energy of Q = t b with
     # the unit uniaxial b, its residual is the matrix residual's coefficient along b
     # (c = 2 L, as |b| = 1), and the five-component residual of t b is parallel to b.
-    # The fixed-director solver runs that same flow, in s units.
-    m = mbba(scale=1e-3)
-    cfg = SolverConfig(functional=_bulk_variant(variant, m, 44.0, 0.1), elastic_l=m.elastic_l,
-                       max_iters=0)
-    grid = Grid3(*shape, *spacings)
-    director = np.array(director) / np.linalg.norm(director)
+    m, cfg, grid, director, bulk = _captured_line_pass(
+        lambda grid, director, cfg: solver.minimize_on_director_line(
+            uniform_boundary_field(grid, 0.3, director), director, cfg),
+        variant, shape, spacings, director)
     unit = uniaxial_coeffs(1.0, director) / np.sqrt(2.0 / 3.0)
     t = radius * np.random.default_rng(seed).standard_normal(grid.shape)
     lifted = t[..., None] * unit
     energy, escale, res, rscale = matrix_energy_and_residual(lifted, grid, cfg.functional,
                                                              m.elastic_l)
+    got_energy, got_res = solver._energy_and_residual(t[None], grid, 2.0 * m.elastic_l, bulk)
+    assert abs(got_energy - energy) <= 1e-12 * escale
     along = np.einsum("...ij,cij,c->...", res, BASIS, unit)
+    assert np.all(np.abs(got_res[0] - along) <= 1e-12 * rscale)
     five = el_residual(QField(grid, lifted), cfg)
     across = five - (five @ unit)[..., None] * unit
     assert np.all(np.linalg.norm(across, axis=-1) <= 1e-12 * rscale)
-    flow = solver._flow
-    for entry in (
-        lambda: solver.minimize_on_director_line(uniform_boundary_field(grid, 0.3, director),
-                                                 director, cfg),
-        lambda: minimize_uniaxial_fixed_director(grid, 0.3, director, cfg),
-    ):
-        flows = []
 
-        def capture(values, grid, bulk, cfg, hessian_bound=None):
-            flows.append((bulk, cfg))
-            return flow(values, grid, bulk, cfg, hessian_bound)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_flow", capture)
-            entry()
-        (bulk, flow_cfg), = flows
-        # _flow runs at c = 2 cfg.elastic_l: 2 L for both entry points
-        assert flow_cfg.elastic_l == m.elastic_l
-        got_energy, got_res = solver._energy_and_residual(t[None], grid, 2.0 * m.elastic_l, bulk)
-        assert abs(got_energy - energy) <= 1e-12 * escale
-        assert np.all(np.abs(got_res[0] - along) <= 1e-12 * rscale)
+@settings(max_examples=40, deadline=None)
+@given(**_PASS_CASES)
+def test_fixed_director_pass_matches_matrix_formulation(shape, spacings, variant, director,
+                                                        radius, seed):
+    # The fixed-director solver runs the line flow in s units, on t = |B| s with
+    # base B = n x n - I/3 and |B| = sqrt(2/3): the pass's energy at t is the matrix
+    # energy of the lifted field Q = s B, and |B| times its residual, the residual
+    # in s, is the lifted matrix residual's coefficient along B.
+    m, cfg, grid, director, bulk = _captured_line_pass(
+        lambda grid, director, cfg: minimize_uniaxial_fixed_director(grid, 0.3, director, cfg),
+        variant, shape, spacings, director)
+    base = uniaxial_coeffs(1.0, director)
+    norm = np.sqrt(2.0 / 3.0)
+    s = radius * np.random.default_rng(seed).standard_normal(grid.shape)
+    got_energy, got_res = solver._energy_and_residual((norm * s)[None], grid,
+                                                      2.0 * m.elastic_l, bulk)
+    energy, escale, res, rscale = matrix_energy_and_residual(
+        uniaxial_coeffs(s, director), grid, cfg.functional, m.elastic_l)
+    assert abs(got_energy - energy) <= 1e-12 * escale
+    along = np.einsum("...ij,cij,c->...", res, BASIS, base)
+    assert np.all(np.abs(norm * got_res[0] - along) <= 1e-12 * norm * rscale)
 
 
 def _line_data(kind, grid, director, s):
