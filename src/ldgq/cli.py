@@ -35,11 +35,11 @@ _SOLVER_DEFAULTS = {"tol": solver.SolverConfig.tol_residual,
                     "max_iters": solver.SolverConfig.max_iters, "restarts": 0, "seed": 0}
 # The most float64 values numpy can size in one array; a larger count cannot be held.
 _MAX_VALUES = np.iinfo(np.intp).max // 8
-# Fewest interior nodes on which uniaxial and per-face data relax on their director's
-# line. Below it the line saves about 4 ms of the 8 ms five-component flow at 17^3 (the
-# benchmark's relax-fine), and it could take that op under the 25 ms sampling period of
-# perfbench/refclock.py, which counts such an op as failed (ROADMAP item 1). Once that is
-# mended, this can be 0.
+# Fewest interior nodes on which data with a director relax on its line. Below it the
+# line and its check take about 7 ms where the five-component flow takes 12 ms at 17^3
+# (the benchmark's relax-fine; in-process medians on a 2-vCPU VM), which could take that
+# op under the 25 ms sampling period of perfbench/refclock.py, which counts such an op
+# as failed (ROADMAP item 1). Once that is mended, this can be 0.
 _LINE_MIN_INTERIOR = 10_000
 
 
@@ -468,10 +468,10 @@ def _functional_at_one_temperature(cfg: RunConfig, command: str) -> bulk.BulkFun
 def cmd_minimize(cfg: RunConfig, out_dir: Path) -> int:
     """Relax the harmonic start and each restart's perturbed one; write field, report, audit.
 
-    Uniaxial and per-face data on grids with at least ``_LINE_MIN_INTERIOR`` interior
-    nodes relax on their director's line first, and the unperturbed five-component
-    ``minimize`` checks the line's end with the iterations left; the restarts perturb
-    that field.
+    Data with a director (uniaxial and per-face) on grids with at least
+    ``_LINE_MIN_INTERIOR`` interior nodes relax on that director's line, which certifies
+    its end in five components; the restarts perturb that field. Every other start
+    relaxes in five components.
     """
     _require(cfg, "material", "grid", "boundary")
     fun = _functional_at_one_temperature(cfg, "minimize")
@@ -484,31 +484,25 @@ def cmd_minimize(cfg: RunConfig, out_dir: Path) -> int:
 
     bvals = boundary_values(cfg.grid, cfg.boundary)
     base_field = solver.harmonic_interior(solver.QField(cfg.grid, bvals))
-    line = None
     # one director: the flow stays on its line
-    if (cfg.boundary["kind"] != "biaxial"
+    if ("director" in cfg.boundary
             and math.prod(n - 2 for n in cfg.grid.shape) >= _LINE_MIN_INTERIOR):
-        base_field, line = solver.minimize_on_director_line(
-            base_field, cfg.boundary["director"], scfg)
+        runs = [solver.minimize_on_director_line(base_field, cfg.boundary["director"], scfg)]
+        base_field = runs[0][0]
+    else:
+        runs = [solver.minimize(base_field, scfg)]
     interior = ~base_field.boundary_mask
     boundary_norm = float(base_field.norms()[base_field.boundary_mask].max())
     amp = 0.1 * bounds.norm_bound(fun, boundary_norm)[1]
 
-    runs: list[tuple[solver.QField, solver.SolveReport]] = []
-    first_seed = cfg.solver["seed"]
-    for seed in (None, *range(first_seed, first_seed + cfg.solver["restarts"])):
-        start, budget = base_field, scfg
-        if seed is not None:
-            values = base_field.values.copy()
-            values[interior] += amp * np.random.default_rng(seed).standard_normal(
-                values[interior].shape)
-            start = base_field.with_values(values)
-        elif line is not None:  # the line's end, checked in five components
-            budget = dataclasses.replace(scfg, max_iters=scfg.max_iters - line.iterations)
-        field, report = solver.minimize(start, budget)
-        if seed is None and line is not None:
-            report = solver.merge_reports(line, report)
-        runs.append((field, dataclasses.replace(report, seed=seed)))
+    seeds = range(cfg.solver["seed"], cfg.solver["seed"] + cfg.solver["restarts"])
+    for seed in seeds:
+        values = base_field.values.copy()
+        values[interior] += amp * np.random.default_rng(seed).standard_normal(
+            values[interior].shape)
+        runs.append(solver.minimize(base_field.with_values(values), scfg))
+    runs = [(field, dataclasses.replace(report, seed=seed))
+            for seed, (field, report) in zip((None, *seeds), runs)]
 
     converged_runs = [run for run in runs if run[1].converged]
     pool = converged_runs or runs

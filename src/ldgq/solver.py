@@ -8,12 +8,12 @@ Laplacian minus the bulk gradient) is the exact negative energy gradient per
 unit node volume at every interior node. One descent loop, with c = 2 L, serves
 the two flows: ``minimize`` relaxes the five coefficients, and
 ``minimize_on_director_line`` relaxes the coordinate t of Q = t b, b the unit
-uniaxial tensor along a director n, on the full energy restricted to that line.
-``minimize_uniaxial_fixed_director`` is the line flow in the units of the scalar s of
-Q = s (n x n - I/3) = s sqrt(2/3) b. The line flow runs the one bulk kernel on its
-one component: on Q = t b, tr Q^2 = t^2, tr Q^3 = t^3/sqrt(6) and the traceless part
-of Q^2 is t^2/sqrt(6) b, so the kernel with that square map is exact, and no pass
-forms a five-component array.
+uniaxial tensor along a director n, on the full energy restricted to that line, and
+certifies its end with ``minimize``. ``minimize_uniaxial_fixed_director`` is that run
+in the units of the scalar s of Q = s (n x n - I/3) = s sqrt(2/3) b. The line flow runs
+the one bulk kernel on its one component: on Q = t b, tr Q^2 = t^2, tr Q^3 = t^3/sqrt(6)
+and the traceless part of Q^2 is t^2/sqrt(6) b, so the kernel with that square map is
+exact, and no line pass forms a five-component array.
 
 Each step is preconditioned L-BFGS (Nocedal, Math. Comp. 35, 1980; Liu &
 Nocedal, Math. Prog. 45, 1989) with the last m = 2 pairs s (the accepted step)
@@ -61,7 +61,6 @@ __all__ = [
     "minimize",
     "minimize_uniaxial_fixed_director",
     "minimize_on_director_line",
-    "merge_reports",
     "harmonic_interior",
     "write_field",
     "read_field",
@@ -422,8 +421,9 @@ def minimize_on_director_line(start: QField, director,
     the Laplacian and the bulk gradient (built from Q and Q^2) keep them there. So the
     flow runs on the one coordinate t = b.Q with c = 2 L (|b| = 1): the five-component
     flow's energies, residual norms, dt and shifts, at one component's cost. dt starts
-    from the five-component Hessian bound on the lifted start. Returns t b with the face
-    bits of ``start``, for a five-component ``minimize`` to check.
+    from the five-component Hessian bound on the lifted start. Five-component ``minimize``
+    then certifies t b, with the face bits of ``start``, on the iterations the line left;
+    one report covers both (``_merge_reports``).
     """
     unit = uniaxial_coeffs(1.0, director)
     unit /= np.linalg.norm(unit)
@@ -432,11 +432,13 @@ def minimize_on_director_line(start: QField, director,
     def hessian_bound(t):  # of the five-component kernel, off the line too
         return _sampled_hessian_bound(fun.density_and_gradient, np.multiply.outer(unit, t[0]))
 
-    t, report = _flow((start.values @ unit)[..., None], start.grid,
-                      partial(fun.density_and_gradient, square=_line_square), cfg, hessian_bound)
+    t, line = _flow((start.values @ unit)[..., None], start.grid,
+                    partial(fun.density_and_gradient, square=_line_square), cfg, hessian_bound)
     values = np.multiply.outer(t[..., 0], unit)
     values[start.boundary_mask] = start.values[start.boundary_mask]
-    return start.with_values(values), report
+    field, check = minimize(start.with_values(values),
+                            replace(cfg, max_iters=cfg.max_iters - line.iterations))
+    return field, _merge_reports(line, check)
 
 
 def minimize_uniaxial_fixed_director(grid: Grid3, s_boundary, director,
@@ -445,20 +447,22 @@ def minimize_uniaxial_fixed_director(grid: Grid3, s_boundary, director,
 
     ``s_boundary`` is a constant or an (nx, ny, nz) array whose face entries
     supply the Dirichlet datum; the interior starts at their mean. This is
-    ``minimize_on_director_line`` in s units: n x n - I/3 = |B| b with |B| = sqrt(2/3)
-    and b the unit uniaxial tensor, so s = t/|B|, the s-residual is |B| times the
-    t-residual, and the line runs to ``cfg.tol_residual``/|B|. The report's residuals
-    are in s units; its dt and shifts are the line flow's. Its ``hypothesis_met``
-    records whether 0 < s_boundary < min(s_plus, 1) held pointwise (only checkable
-    for the quartic functional); the run proceeds either way.
+    ``minimize_on_director_line`` in s units, its check included: n x n - I/3 = |B| b
+    with |B| = sqrt(2/3) and b the unit uniaxial tensor, so s = t/|B|, the s-residual is
+    |B| times the t-residual, and the run's tolerance is ``cfg.tol_residual``/|B|. The
+    report's residuals are in s units; its dt and shifts are the flows'. Its
+    ``hypothesis_met`` records whether 0 < s_boundary < min(s_plus, 1) held pointwise
+    (only checkable for the quartic functional); the run proceeds either way.
     """
     s_boundary = np.broadcast_to(np.asarray(s_boundary, dtype=float), grid.shape)
     mask = _face_mask(grid.shape)
     bvals = s_boundary[mask]
     if not np.isfinite(bvals).all():
         raise ValueError("s_boundary face values must be finite")
+    with np.errstate(over="ignore"):  # a sum past the float range: average scaled values
+        mean = float(bvals.mean())
     s = s_boundary.copy()
-    s[1:-1, 1:-1, 1:-1] = float(bvals.mean())
+    s[1:-1, 1:-1, 1:-1] = mean if math.isfinite(mean) else float(np.sum(bvals / bvals.size))
 
     fun = cfg.functional
     hypothesis: Optional[bool] = None
@@ -479,7 +483,7 @@ def minimize_uniaxial_fixed_director(grid: Grid3, s_boundary, director,
                       trace=trace, hypothesis_met=hypothesis)
 
 
-def merge_reports(line: SolveReport, check: SolveReport) -> SolveReport:
+def _merge_reports(line: SolveReport, check: SolveReport) -> SolveReport:
     """One report for a line relaxation and the five-component ``minimize`` from its end.
 
     The counts, dt range and trace rows are the line's trials; the final energy and

@@ -66,6 +66,8 @@ def test_minimize_runs_the_traced_layers_through_their_module_attributes(tmp_pat
     # The tracer replaces solver.harmonic_interior and solver.minimize as module
     # attributes, so a benchmark minimize must still call both through them, and
     # workload.init_residual reads the harmonic start from the tracer's last result.
+    # The benchmark fails an op whose traced and untraced outputs differ, and the
+    # director line certifies its end through solver.minimize: one span per run.
     monkeypatch.syspath_prepend(str(PERFBENCH))  # workload.py imports its siblings
     workload = _perfbench("workload")
     for name, text in (("relax-33", workload.gen.relax33_config(0)),
@@ -80,10 +82,16 @@ def test_minimize_runs_the_traced_layers_through_their_module_attributes(tmp_pat
             tracer.uninstall()
         assert rc == 0
         spans = [span[0] for span in tracer.spans]
-        assert spans.count("solver.harmonic_interior") == 1 and "solver.minimize" in spans
+        assert spans.count("solver.harmonic_interior") == 1
+        assert spans.count("solver.minimize") == 1
         start = tracer.last_result["solver.harmonic_interior"]
         assert start.grid == cli.parse_config(text).grid
         assert workload.init_residual(tracer) < 1e-9
+        untraced = tmp_path / f"{name}-untraced"
+        assert cli.main(["--out", str(untraced), "minimize", "--config", str(config)]) == 0
+        traced = workload.oracle.digests(name, tmp_path / name)
+        assert set(traced) == {"field.ldgq", "solve_report.json", "audit.json"}
+        assert workload.oracle.digests(name, untraced) == traced
 
 
 def test_relax_fine_keeps_the_five_component_path(tmp_path, monkeypatch):

@@ -17,8 +17,13 @@ from ldgq import (
     triangle_report,
     uniaxial_coeffs,
 )
-from ldgq.bounds import triangle_scale
+from ldgq.bounds import norm_bound, triangle_scale
 from ldgq.solver import Grid3, QField
+
+
+def test_norm_bound_rejects_an_unsupported_functional():
+    with pytest.raises(TypeError, match="unsupported functional object"):
+        norm_bound(object(), 0.1)
 
 
 def test_gamma_examples_and_identity():

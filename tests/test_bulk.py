@@ -402,6 +402,12 @@ def test_polynomial_validation():
         Polynomial(a2=1.0, terms=((0, 1, -1.0), (2, 0, 1.0), (0, 2, 2.0)))  # dominance
     with pytest.raises(ValueError):
         Polynomial(a2=1.0, terms=((0, 1, -1.0),))  # degree 3
+    with pytest.raises(ValueError, match="nonnegative"):
+        Polynomial(a2=1.0, terms=((0, 1, -1.0), (2, 0, 1.0), (-1, 2, 1.0)))
+    with pytest.raises(ValueError, match=r"duplicate term \(2, 0\)"):
+        Polynomial(a2=1.0, terms=((0, 1, -1.0), (2, 0, 1.0), (2, 0, 2.0)))
+    with pytest.raises(ValueError, match="at least cubic and quartic"):
+        Polynomial(a2=1.0, terms=())
     # valid sextic with a mixed top-degree term
     fun = Polynomial(a2=1.0, terms=((0, 1, -1.0), (2, 0, 1.0), (3, 0, 2.0), (0, 2, 0.5)))
     assert fun.degree == 6
@@ -471,6 +477,9 @@ def test_gl_bound_limits_and_value():
     assert gl_bound(m, 44.0, 0.05) >= inv6
     with pytest.raises(ValueError):
         gl_bound(m, 44.0, 0.0)
+    for eps in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            GLPenalized(m, 44.0, eps)
     # weak-penalty limit approaches the unpenalized bound from below
     strong = gl_bound(m, 44.0, 50.0)
     gamma = (m.b + np.sqrt(m.b**2 - 24 * a_of_temperature(m, 44.0) * m.c)) / (

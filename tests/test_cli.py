@@ -590,6 +590,18 @@ def test_readme_config_example_round_trips():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library example"):]
+    code = section[section.index("```python\n") + len("```python\n"):]
+    namespace = {}
+    exec(code[:code.index("```")], namespace)
+    converged, norm, sign, gamma = capsys.readouterr().out.split()
+    assert (converged, sign) == ("True", "<=")
+    assert float(norm) <= float(gamma)
+    assert namespace["audit"].satisfied
+
+
 @pytest.mark.parametrize("line, message", [
     ("tol = 0", "tol must be positive"),
     ("max_iters = -1", "max_iters must be nonnegative"),

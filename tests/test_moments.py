@@ -67,6 +67,9 @@ def test_distribution_validation():
         distribution_from_values(quad, np.zeros(quad.weights.size))
     with pytest.raises(NormalizationError):
         distribution_from_values(quad, np.ones(7))
+    # the band |p.z| <= 0.05 holds none of level 1's nodes, at z = +-1/sqrt(3)
+    with pytest.raises(NormalizationError, match="band contains no quadrature nodes"):
+        band_distribution(build_quadrature(1), Z, 0.05)
     # unnormalized density rejected by the moment map
     psi = uniform_distribution(quad)
     bad = type(psi)(values=2.0 * psi.values)

@@ -50,6 +50,24 @@ def uniform_boundary_field(grid, s, director=Z):
     return QField.from_boundary(grid, bvals)
 
 
+_GRID3 = Grid3(3, 3, 3, 1.0, 1.0, 1.0)
+_QUARTIC = Quartic(mbba(scale=1e-3), 44.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: QField(_GRID3, np.zeros((3, 3, 4, 5))), r"shape \(3, 3, 4, 5\) does not match"),
+    (lambda: QField(_GRID3, np.full((3, 3, 3, 5), np.inf)), "field values must be finite"),
+    (lambda: SolverConfig(functional=_QUARTIC, elastic_l=0.0), "elastic_l must be positive"),
+    (lambda: SolverConfig(functional=_QUARTIC, elastic_l=1.0, tol_residual=float("nan")),
+     "tol_residual must be positive"),
+    (lambda: SolverConfig(functional=_QUARTIC, elastic_l=1.0, max_iters=-1),
+     "max_iters must be nonnegative"),
+])
+def test_field_and_config_validation(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid3(2, 5, 5, 1.0, 1.0, 1.0)
@@ -236,7 +254,11 @@ def test_fused_pass_matches_matrix_formulation(shape, spacings, variant, t, eps,
 
 
 def _captured_line_pass(entry, variant, shape, spacings, director):
-    """The bulk kernel of the one flow that ``entry(grid, director, cfg)`` runs, with its setup."""
+    """The line flow's bulk kernel in the run ``entry(grid, director, cfg)`` makes, with its setup.
+
+    The run makes two flows: the line flow on one component, then the five-component
+    check on the full kernel. Both run at c = 2 cfg.elastic_l.
+    """
     m = mbba(scale=1e-3)
     cfg = SolverConfig(functional=_bulk_variant(variant, m, 44.0, 0.1), elastic_l=m.elastic_l,
                        max_iters=0)
@@ -245,15 +267,16 @@ def _captured_line_pass(entry, variant, shape, spacings, director):
     flows, flow = [], solver._flow
 
     def capture(values, grid, bulk, cfg, hessian_bound=None):
-        flows.append((bulk, cfg))
+        flows.append((values.shape[-1], bulk, cfg))
         return flow(values, grid, bulk, cfg, hessian_bound)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_flow", capture)
         entry(grid, director, cfg)
-    (bulk, flow_cfg), = flows
-    # _flow runs at c = 2 cfg.elastic_l
-    assert flow_cfg.elastic_l == m.elastic_l
+    (line_ncomp, bulk, line_cfg), (check_ncomp, check_bulk, check_cfg) = flows
+    assert (line_ncomp, check_ncomp) == (1, 5)
+    assert check_bulk == cfg.functional.density_and_gradient
+    assert line_cfg.elastic_l == check_cfg.elastic_l == m.elastic_l
     return m, cfg, grid, director, bulk
 
 
@@ -349,6 +372,50 @@ def test_director_line_relaxation_takes_the_five_component_trials(variant, kind)
     assert check.final_energy == pytest.approx(five.final_energy, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("max_iters", [3, 200])
+@pytest.mark.parametrize("entry", ["line", "fixed"])
+def test_line_runs_end_in_one_five_component_minimize_on_the_iterations_left(monkeypatch,
+                                                                             entry, max_iters):
+    # The paper's bounds hold at critical points of the five-component energy, so a
+    # line run returns the field of one five-component minimize from the line's end,
+    # whose budget is what the line left of cfg.max_iters.
+    m, cfg = quartic_cfg(t=44.0, tol_residual=1e-7, max_iters=max_iters)
+    grid = Grid3(7, 7, 7, 1.0, 1.0, 1.0)
+    director = np.array([1.0, 2.0, 2.0]) / 3.0
+    s0 = 0.5 * stationary_scalars(m, 44.0).s_plus
+    flows, flow = [], solver._flow
+    checks, relax = [], solver.minimize
+
+    def capture_flow(values, grid, bulk, cfg, hessian_bound=None):
+        flows.append(flow(values, grid, bulk, cfg, hessian_bound))
+        return flows[-1]
+
+    def capture_minimize(start, cfg):
+        checks.append((cfg, *relax(start, cfg)))
+        return checks[-1][1:]
+
+    monkeypatch.setattr(solver, "_flow", capture_flow)
+    monkeypatch.setattr(solver, "minimize", capture_minimize)
+    if entry == "line":
+        result, report = solver.minimize_on_director_line(
+            harmonic_interior(uniform_boundary_field(grid, s0, director)), director, cfg)
+    else:
+        result, report = minimize_uniaxial_fixed_director(grid, s0, director, cfg)
+    (check_cfg, field, check), = checks
+    line = flows[0][1]
+    assert 0 < line.iterations <= max_iters
+    assert check_cfg.max_iters == max_iters - line.iterations
+    assert report.iterations == line.iterations + check.iterations
+    assert report.final_energy == check.final_energy
+    if entry == "line":
+        assert result is field
+    else:
+        base = uniaxial_coeffs(1.0, director)
+        interior = ~_face_mask(grid.shape)
+        s = field.values @ base / np.linalg.norm(base) ** 2
+        assert np.array_equal(result[interior], s[interior])
+
+
 def test_merged_report_counts_the_line_and_the_checks_trials():
     m, cfg = quartic_cfg(t=44.0, tol_residual=1e-7)
     grid = Grid3(7, 7, 7, 1.0, 1.0, 1.0)
@@ -357,7 +424,7 @@ def test_merged_report_counts_the_line_and_the_checks_trials():
                                                                                   max_iters=3))
     _, check = minimize(lifted, cfg)
     assert line.stop_reason == "max_iters" and check.iterations > 0
-    merged = solver.merge_reports(line, check)
+    merged = solver._merge_reports(line, check)
     assert merged.iterations == line.iterations + check.iterations
     assert merged.fallbacks == line.fallbacks + check.fallbacks
     assert merged.rejected_steps == line.rejected_steps + check.rejected_steps
@@ -371,7 +438,7 @@ def test_merged_report_counts_the_line_and_the_checks_trials():
     # a check that takes no step changes only the last row's energy and residual
     lifted, done = solver.minimize_on_director_line(start, Z, cfg)
     _, idle = minimize(lifted, cfg)
-    merged = solver.merge_reports(done, idle)
+    merged = solver._merge_reports(done, idle)
     assert idle.iterations == 0
     assert dataclasses.replace(merged, trace=done.trace, final_energy=done.final_energy,
                                final_residual_maxnorm=done.final_residual_maxnorm) == done
@@ -386,8 +453,12 @@ def test_director_line_divergence_raises_without_a_numpy_warning():
     grid = Grid3(5, 5, 5, 1.0, 1.0, 1.0)
     with pytest.raises(DivergenceError, match="initial field has non-finite energy"):
         solver.minimize_on_director_line(uniform_boundary_field(grid, 1e100), Z, cfg)
-    with pytest.raises(DivergenceError, match="initial field has non-finite energy"):
-        minimize_uniaxial_fixed_director(grid, 1e100, Z, cfg)
+    # finite data past the float range too, whose face sum overflows their mean
+    mixed = np.full(grid.shape, 1.7e308)
+    mixed[::2] = -1.7e308
+    for s_boundary in (1e100, 1.7e308, -1.7e308, mixed):
+        with pytest.raises(DivergenceError, match="initial field has non-finite energy"):
+            minimize_uniaxial_fixed_director(grid, s_boundary, Z, cfg)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -406,6 +477,8 @@ def test_line_flows_evaluate_the_five_component_kernel_only_in_the_dt_probe(monk
     # The line flow, in t or in s units, runs the bulk kernel on its one component,
     # with the scalar square t^2/sqrt(6); only its dt probe evaluates the
     # five-component kernel, on 64 sampled nodes moved along each of 5 directions.
+    # The five-component check of the line's end makes one full-grid pass and,
+    # having no step to take, no other (a lift per trial would add one per trial).
     shapes = []
 
     def counted(q, axis=-1):
@@ -417,12 +490,29 @@ def test_line_flows_evaluate_the_five_component_kernel_only_in_the_dt_probe(monk
     grid = Grid3(9, 9, 9, 1.0, 1.0, 1.0)
     s0 = 0.5 * stationary_scalars(m, 44.0).s_plus
     director = np.array([1.0, 2.0, 2.0]) / 3.0
-    _, line = solver.minimize_on_director_line(
-        harmonic_interior(uniform_boundary_field(grid, s0, director)), director, cfg)
-    _, fixed = minimize_uniaxial_fixed_director(grid, s0, director, cfg)
-    assert line.iterations > 0 and fixed.iterations > 0
-    assert shapes and all(len(shape) == 3 and shape[:2] == (5, 5) and shape[2] <= 64
-                          for shape in shapes), shapes
+    for run in (lambda: solver.minimize_on_director_line(
+                    harmonic_interior(uniform_boundary_field(grid, s0, director)), director, cfg),
+                lambda: minimize_uniaxial_fixed_director(grid, s0, director, cfg)):
+        shapes.clear()
+        _, report = run()
+        assert report.iterations > 0
+        probes = [shape for shape in shapes if shape != (5, *grid.shape)]
+        assert len(shapes) - len(probes) == 1, shapes
+        assert probes and all(len(shape) == 3 and shape[:2] == (5, 5) and shape[2] <= 64
+                              for shape in probes), shapes
+
+
+def test_flow_raises_when_every_halved_trial_is_non_finite():
+    # a kernel finite only at the zero start: the plain step and its 60 halvings
+    # all leave it, so the flow stops with DivergenceError, not step_collapse
+    def bulk(q):
+        density = np.zeros(q.shape[1:]) if not q.any() else np.full(q.shape[1:], np.nan)
+        return density, np.ones(q.shape)
+
+    m, cfg = quartic_cfg()
+    with pytest.raises(DivergenceError, match="gradient flow produced a non-finite energy"):
+        solver._flow(np.zeros((4, 4, 4, 1)), Grid3(4, 4, 4, 1.0, 1.0, 1.0), bulk, cfg,
+                     hessian_bound=lambda q: 1.0)
 
 
 def test_minimize_already_stationary_takes_zero_iterations():
@@ -1031,6 +1121,14 @@ def test_field_file_roundtrip_and_rejections(tmp_path):
 
     bad.write_text(text.replace("LDGQ1", "LDGQ2", 1))
     with pytest.raises(FieldFormatError):
+        read_field(bad)
+
+    bad.write_text("")
+    with pytest.raises(FieldFormatError, match=": empty file$"):
+        read_field(bad)
+
+    bad.write_text(text.replace("LDGQ1 4 3 5", "LDGQ1 4 x 5", 1))
+    with pytest.raises(FieldFormatError, match=": line 1: malformed header"):
         read_field(bad)
 
     bad.write_text("\n".join(text.splitlines()[:-3]) + "\n")
