@@ -16,10 +16,7 @@ from .bulk import (
     Quartic,
     StationaryReport,
     a_of_temperature,
-    bulk_gradient,
-    bulk_triangle,
     characteristic_temperatures,
-    f_bulk,
     gl_bound,
     poly_bound_C,
     stationary_scalars,
@@ -52,7 +49,6 @@ from .qtensor import (
     eigensystem,
     eigenvalues_desc,
     in_physical_triangle,
-    invariants,
     make_biaxial,
     norm_and_region,
     order_params,
@@ -69,6 +65,7 @@ from .solver import (
     el_residual,
     harmonic_interior,
     minimize,
+    minimize_on_director_line,
     minimize_uniaxial_fixed_director,
     read_field,
     write_field,

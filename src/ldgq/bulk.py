@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import RegimeError
-from .qtensor import QTensor, square_coeffs
+from .qtensor import square_coeffs
 
 __all__ = [
     "Material",
@@ -29,14 +29,11 @@ __all__ = [
     "CharacteristicTemperatures",
     "a_of_temperature",
     "linear_law_a",
-    "f_bulk",
-    "bulk_gradient",
     "nematic_root",
     "stationary_columns",
     "stationary_scalars",
     "characteristic_temperatures",
     "bulk_triangle_scale",
-    "bulk_triangle",
     "poly_bound_C",
     "gl_bound",
 ]
@@ -229,16 +226,6 @@ class GLPenalized(BulkFunctional):
         return dens + excess * excess / self.eps**2, grad + ((4.0 / self.eps**2) * excess) * q
 
 
-def f_bulk(fun: BulkFunctional, q: QTensor) -> float:
-    """Bulk energy density of a single tensor."""
-    return float(fun.density(q.coeffs))
-
-
-def bulk_gradient(fun: BulkFunctional, q: QTensor) -> QTensor:
-    """Traceless-projected derivative of the bulk density at a single tensor."""
-    return QTensor(fun.gradient(q.coeffs))
-
-
 @dataclass(frozen=True)
 class StationaryReport:
     """Stationary points of the quartic density along uniaxial states.
@@ -353,20 +340,6 @@ def bulk_triangle_scale(m: Material, col: StationaryColumns) -> np.ndarray:
     exist.
     """
     return np.where(col.a >= -m.b * m.b / (3.0 * m.c), col.s_plus, 2.0 * np.abs(col.s_minus))
-
-
-def bulk_triangle(m: Material, t: float) -> list[tuple[float, float]]:
-    """Vertices of the convex hull of the bulk stationary points in the (s, r) plane.
-
-    Where the nematic branch does not exist (above superheating) the hull
-    collapses to the origin; see ``bulk_triangle_scale`` for the scale and
-    ``stationary_columns`` for the rejected temperatures.
-    """
-    col = stationary_columns(m, t)
-    scale = float(bulk_triangle_scale(m, col))
-    if not col.nematic:
-        return [(0.0, 0.0)]
-    return [(scale, 0.0), (0.0, scale), (-scale, -scale)]
 
 
 def _degree_weighted_bound_poly(fun: Polynomial) -> np.ndarray:

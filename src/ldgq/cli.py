@@ -223,7 +223,9 @@ def parse_config(text: str) -> RunConfig:
     variant = _chosen(vals, "functional", "variant", _VARIANT_NEEDS, default="quartic")
     cfg["functional"] = {**vals, "variant": variant}
     if variant == "polynomial":
-        _checked("functional", bulk.Polynomial, vals["a2"], vals["term"])
+        poly = _checked("functional", bulk.Polynomial, vals["a2"], vals["term"])
+        if poly.degree - 1 > _MAX_VALUES:  # the norm bound's root search holds degree - 1 values
+            raise ConfigError("[functional] term degree is too large to hold")
     if "grid" in sections:
         grid = cfg["grid"] = _construct(sections, "grid", solver.Grid3)
         if math.prod(grid.shape) * 5 > _MAX_VALUES:

@@ -170,9 +170,9 @@ def load_density_csv(path, quad: SphericalQuadrature) -> Distribution:
     """Read (theta, phi, value) samples in radians and assign to nearest nodes.
 
     Multiple samples landing on one node are averaged; nodes without samples
-    get zero. Blank lines, comment lines starting with '#', and a header line
-    of column names are skipped. Negative values and angles that are not
-    finite are rejected.
+    get zero. A leading byte-order mark, blank lines, comment lines starting
+    with '#', and a header line of column names are skipped. Negative values
+    and angles that are not finite are rejected.
 
     Line 1 is skipped when ``_is_header`` says it is a header; the other
     lines, stripped and without the blank and '#' ones, are parsed in one
@@ -180,7 +180,7 @@ def load_density_csv(path, quad: SphericalQuadrature) -> Distribution:
     negative value or a non-finite angle, goes through the per-line reader,
     which accepts or rejects it and names the offending line.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         if not _is_header(fh.readline().strip()):
             fh.seek(0)
         # np.loadtxt rejects whitespace-only lines, so it gets the lines stripped

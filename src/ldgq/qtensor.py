@@ -27,7 +27,6 @@ __all__ = [
     "rotate_coeffs",
     "uniaxial_coeffs",
     "make_biaxial",
-    "invariants",
     "eigensystem",
     "order_params",
     "biaxiality",
@@ -174,12 +173,6 @@ def make_biaxial(s: float, r: float, e1, e2) -> QTensor:
     eye3 = np.eye(3) / 3.0
     mat = s * (np.outer(e1, e1) - eye3) + r * (np.outer(e2, e2) - eye3)
     return QTensor.from_matrix(mat)
-
-
-def invariants(q: QTensor) -> tuple[float, float, float]:
-    """Return (tr Q^2, tr Q^3, |Q|) with tr Q^2 = |Q|^2 exact by construction."""
-    tr2, tr3 = trace_invariants(q.coeffs)
-    return float(tr2), float(tr3), float(np.sqrt(tr2))
 
 
 def eigensystem(q: QTensor) -> EigenSystem:

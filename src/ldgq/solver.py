@@ -9,8 +9,9 @@ unit node volume at every interior node. One descent loop, with c = 2 L, serves
 the two flows: ``minimize`` relaxes the five coefficients, and
 ``minimize_on_director_line`` relaxes the coordinate t of Q = t b, b the unit
 uniaxial tensor along a director n, on the full energy restricted to that line, and
-certifies its end with ``minimize``. ``minimize_uniaxial_fixed_director`` is that run
-in the units of the scalar s of Q = s (n x n - I/3) = s sqrt(2/3) b. The line flow runs
+certifies its end with ``minimize`` (the paper's bounds hold at critical points of the
+five-component energy). ``minimize_uniaxial_fixed_director`` is that run in the units
+of the scalar s of Q = s (n x n - I/3) = s sqrt(2/3) b. The line flow runs
 the one bulk kernel on its one component: on Q = t b, tr Q^2 = t^2, tr Q^3 = t^3/sqrt(6)
 and the traceless part of Q^2 is t^2/sqrt(6) b, so the kernel with that square map is
 exact, and no line pass forms a five-component array.
@@ -28,13 +29,14 @@ gradient-flow step, implicit in the elastic and explicit in the bulk term (Eyre
 
 and with no pairs the step is this flow step. A quasi-Newton trial instead takes
 the secant-matched shift sigma_k = (s.y - c edge(s)) / |s|^2 of the newest kept
-pair, the Rayleigh quotient of the bulk Hessian along s (the Barzilai-Borwein
-idea, IMA J. Numer. Anal. 8, 1988, applied to the bulk part only), floored at
-0.1/dt. If that trial would raise the energy beyond roundoff, the pairs are
-dropped and the flow step at 1/dt is taken instead, with dt halved until it
-lowers the energy. Only the bulk term limits dt. The descent keeps one contiguous
-component-major (ncomp, nx, ny, nz) array, and each trial makes one pass that gives
-both its energy and its residual (``_energy_and_residual``).
+pair (edge(s) is the edge Dirichlet sum of s), the Rayleigh quotient of the bulk
+Hessian along s (the Barzilai-Borwein idea, IMA J. Numer. Anal. 8, 1988, applied to
+the bulk part only), floored at 0.1/dt. If that trial would raise the energy beyond
+roundoff, the pairs are dropped and the flow step at 1/dt is taken instead, with dt
+halved until it lowers the energy. Only the bulk term limits dt, so dt does not shrink
+with the grid spacing. The descent keeps one contiguous component-major
+(ncomp, nx, ny, nz) array, and each trial makes one pass that gives both its energy
+and its residual (``_energy_and_residual``).
 """
 
 from __future__ import annotations
@@ -580,11 +582,12 @@ _NODE_ROW = np.dtype([("index", np.int64, (3,)), ("coeffs", np.float64, (5,))])
 def read_field(path) -> QField:
     """Read an LDGQ1 file; format violations raise with the file's own line number.
 
-    The body is parsed in one ``np.loadtxt`` call and checked as arrays. Only a
-    body that parse rejects, or that fails a check, goes through the per-line
-    reader, which accepts or rejects it and names the offending line.
+    A leading byte-order mark is skipped. The body is parsed in one
+    ``np.loadtxt`` call and checked as arrays. Only a body that parse rejects,
+    or that fails a check, goes through the per-line reader, which accepts or
+    rejects it and names the offending line.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         grid = _read_header(path, fh)
         try:
             with warnings.catch_warnings():

@@ -11,15 +11,12 @@ from ldgq import (
     QTensor,
     RegimeError,
     a_of_temperature,
-    bulk_gradient,
-    bulk_triangle,
     characteristic_temperatures,
-    f_bulk,
     gl_bound,
-    invariants,
     make_biaxial,
     poly_bound_C,
     stationary_scalars,
+    triangle_report,
     uniaxial_coeffs,
 )
 from ldgq.qtensor import BASIS, coeffs_to_matrices, square_coeffs, trace_invariants
@@ -27,7 +24,7 @@ from ldgq.solver import _line_square
 
 
 def grad_scale(fun, q):
-    _, _, norm = invariants(q)
+    norm = q.norm
     m = fun.material
     return abs(fun.a) * norm + m.b * norm**2 + m.c * norm**3 + 1e-30
 
@@ -51,7 +48,7 @@ def test_f_bulk_zero_for_all_variants():
     zero = QTensor.zero()
     poly = mbba_quartic_as_polynomial(m, 44.0)
     for fun in (Quartic(m, 44.0), poly, GLPenalized(m, 44.0, 0.1)):
-        assert f_bulk(fun, zero) == 0.0
+        assert fun.density(zero.coeffs) == 0.0
 
 
 def test_f_bulk_vanishes_at_transition():
@@ -63,8 +60,8 @@ def test_f_bulk_vanishes_at_transition():
     rep = stationary_scalars(m, t_ni)
     assert rep.s_plus == pytest.approx(m.b / (3 * m.c), rel=1e-9)
     q = QTensor(uniaxial_coeffs(rep.s_plus, Z))
-    scale = abs(f_bulk(fun, make_biaxial(rep.s_plus, 0.0, Z, X))) + m.b * rep.s_plus**3
-    assert abs(f_bulk(fun, q)) < 1e-9 * scale
+    scale = abs(fun.density(make_biaxial(rep.s_plus, 0.0, Z, X).coeffs)) + m.b * rep.s_plus**3
+    assert abs(fun.density(q.coeffs)) < 1e-9 * scale
 
 
 def test_gl_density_matches_quartic_at_threshold():
@@ -73,11 +70,11 @@ def test_gl_density_matches_quartic_at_threshold():
     gl = GLPenalized(m, 44.0, 0.1)
     s_at = 1.0 / np.sqrt(6.0) / np.sqrt(2.0 / 3.0)  # |Q| = 1/sqrt(6)
     q = QTensor(uniaxial_coeffs(s_at, Z))
-    assert f_bulk(gl, q) == f_bulk(quartic, q)
+    assert gl.density(q.coeffs) == quartic.density(q.coeffs)
     below = QTensor(0.99 * q.coeffs)
-    assert f_bulk(gl, below) == f_bulk(quartic, below)
+    assert gl.density(below.coeffs) == quartic.density(below.coeffs)
     above = QTensor(1.01 * q.coeffs)
-    assert f_bulk(gl, above) > f_bulk(quartic, above)
+    assert gl.density(above.coeffs) > quartic.density(above.coeffs)
 
 
 def test_gl_density_c1_at_threshold():
@@ -91,13 +88,13 @@ def test_gl_density_c1_at_threshold():
 
     for delta in (0.0, -1e-8, -1e-3):
         q = QTensor(uniaxial_coeffs(s_at * (1 + delta), Z))
-        assert f_bulk(gl, q) == f_bulk(quartic, q)
-        assert np.array_equal(bulk_gradient(gl, q).coeffs, bulk_gradient(quartic, q).coeffs)
+        assert gl.density(q.coeffs) == quartic.density(q.coeffs)
+        assert np.array_equal(gl.gradient(q.coeffs), quartic.gradient(q.coeffs))
 
     def mismatches(delta):
         q = QTensor(uniaxial_coeffs(s_at * (1 + delta), Z))
-        dv = abs(f_bulk(gl, q) - f_bulk(quartic, q))
-        dg = np.abs(bulk_gradient(gl, q).coeffs - bulk_gradient(quartic, q).coeffs).max()
+        dv = abs(gl.density(q.coeffs) - quartic.density(q.coeffs))
+        dg = np.abs(gl.gradient(q.coeffs) - quartic.gradient(q.coeffs)).max()
         return dv, dg
 
     dv4, dg4 = mismatches(1e-4)
@@ -109,11 +106,11 @@ def test_gl_density_c1_at_threshold():
 def test_bulk_gradient_zero_states():
     m = mbba()
     fun = Quartic(m, 44.0)
-    assert bulk_gradient(fun, QTensor.zero()).norm == 0.0
+    assert QTensor(fun.gradient(QTensor.zero().coeffs)).norm == 0.0
     rep = stationary_scalars(m, 44.0)
     for s in (rep.s_plus, rep.s_minus):
         q = QTensor(uniaxial_coeffs(s, Z))
-        assert bulk_gradient(fun, q).norm <= 1e-10 * grad_scale(fun, q)
+        assert QTensor(fun.gradient(q.coeffs)).norm <= 1e-10 * grad_scale(fun, q)
 
 
 def test_bulk_gradient_matches_finite_differences():
@@ -349,8 +346,8 @@ def test_stationary_density_ordering_and_uniaxial_slice_derivative():
         fun = Quartic(m, t)
         for s in np.linspace(-1.2, 1.2, 13):
             h = 1e-6
-            fp = f_bulk(fun, QTensor(uniaxial_coeffs(s + h, Z)))
-            fm = f_bulk(fun, QTensor(uniaxial_coeffs(s - h, Z)))
+            fp = fun.density(uniaxial_coeffs(s + h, Z))
+            fm = fun.density(uniaxial_coeffs(s - h, Z))
             expected = (18 * a * s - 6 * m.b * s * s + 12 * m.c * s**3) / 27
             assert (fp - fm) / (2 * h) == pytest.approx(expected, rel=1e-6, abs=1e-3)
 
@@ -361,7 +358,7 @@ def test_stationary_f_values_match_density():
         rep = stationary_scalars(m, t)
         fun = Quartic(m, t)
         assert rep.f_at_plus == pytest.approx(
-            f_bulk(fun, QTensor(uniaxial_coeffs(rep.s_plus, Z))), rel=1e-10, abs=1e-8
+            fun.density(uniaxial_coeffs(rep.s_plus, Z)), rel=1e-10, abs=1e-8
         )
 
 
@@ -376,21 +373,21 @@ def test_characteristic_temperatures_mbba():
 
 def test_bulk_triangle_regimes():
     m = mbba()
-    assert bulk_triangle(m, 50.0) == [(0.0, 0.0)]
+    assert triangle_report(m, 50.0).bulk_vertices == ((0.0, 0.0),)
 
-    verts = bulk_triangle(m, 45.0)
+    verts = triangle_report(m, 45.0).bulk_vertices
     s_plus = stationary_scalars(m, 45.0).s_plus
-    assert verts == [(s_plus, 0.0), (0.0, s_plus), (-s_plus, -s_plus)]
+    assert verts == ((s_plus, 0.0), (0.0, s_plus), (-s_plus, -s_plus))
 
     # continuity where the vertex formula switches branch: a = -b^2/3c
     t_switch = 45.0 - m.b * m.b / (3 * m.c) / m.alpha
-    lo = bulk_triangle(m, t_switch - 1e-6)
-    hi = bulk_triangle(m, t_switch + 1e-6)
+    lo = triangle_report(m, t_switch - 1e-6).bulk_vertices
+    hi = triangle_report(m, t_switch + 1e-6).bulk_vertices
     assert lo[0][0] == pytest.approx(hi[0][0], rel=1e-4)
     assert hi[0][0] == pytest.approx(m.b / m.c, rel=1e-4)
 
     with pytest.raises(RegimeError):
-        bulk_triangle(m, -1.0)
+        triangle_report(m, -1.0)
 
 
 def test_polynomial_validation():

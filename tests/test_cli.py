@@ -640,6 +640,7 @@ def test_gl_minimize_and_verify_where_the_closed_form_radicand_is_negative(tmp_p
 
 RUN = minimize_config(nx=5)
 SWEEP_TO = MATERIAL_KJ + "[temperature]\nstart = 0\nstop = {}\nstep = 1\n"
+HUGE_TERM = RUN.replace("variant = quartic", VARIANTS["polynomial"] + "\nterm = {} 0 1.0")
 
 
 @pytest.mark.parametrize("args, text, message, code", [
@@ -670,9 +671,18 @@ SWEEP_TO = MATERIAL_KJ + "[temperature]\nstart = 0\nstop = {}\nstep = 1\n"
      f"--level {10**15} is too large to hold", EXIT_PARSE),
     (["moments", "density.csv", "--level", str(2**64)], None,
      f"--level {2**64} is too large to hold", EXIT_PARSE),
+    # a term degree whose norm-bound polynomial numpy cannot size, rejected at parse time
+    (["minimize"], HUGE_TERM.format("1e18"), "[functional] term degree is too large to hold",
+     EXIT_PARSE),
+    (["minimize"], HUGE_TERM.format("1e300"), "[functional] term degree is too large to hold",
+     EXIT_PARSE),
+    (["verify", "field.ldgq"], HUGE_TERM.format("1e18"),
+     "[functional] term degree is too large to hold", EXIT_PARSE),
+    (["phase"], HUGE_TERM.format("1e18"), "[functional] term degree is too large to hold",
+     EXIT_PARSE),
 ], ids=["missing-block", "no-temperature", "sweep", "level", "unreadable-config", "divergence",
         "grid-1e6", "grid-1e5", "sweep-1e15", "sweep-1e30", "triangles-1e30", "level-1e15",
-        "level-2^64"])
+        "level-2^64", "term-1e18", "term-1e300", "verify-term-1e18", "phase-term-1e18"])
 def test_command_errors_have_their_exit_code_and_message(tmp_path, capsys, args, text, message,
                                                          code):
     cfg = tmp_path / "run.cfg"

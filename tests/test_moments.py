@@ -363,6 +363,27 @@ def test_load_density_csv_error_lines(tmp_path):
         load_density_csv(path, quad)
 
 
+@pytest.mark.parametrize("body", ["theta,phi,value\n0.5,0.1,2.0\n1.2,2.0,0.5\n",
+                                  "0.5,0.1,2.0\n1.2,2.0,0.5\n"], ids=["header", "no-header"])
+def test_load_density_csv_skips_a_byte_order_mark(tmp_path, body):
+    quad = build_quadrature(4)
+    qs = []
+    for name, data in (("plain", body.encode()), ("bom", "\ufeff".encode() + body.encode())):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        qs.append(q_from_psi(load_density_csv(path, quad), quad).coeffs)
+    assert np.array_equal(qs[0], qs[1])
+
+
+def test_load_density_csv_names_the_marked_first_line(tmp_path):
+    # a negative value sends the file to the per-line reader, which must not take
+    # the marked first row for a header
+    path = tmp_path / "density.csv"
+    path.write_bytes("\ufeff0.5,0.1,-2.0\n1.2,2.0,0.5\n".encode())
+    with pytest.raises(NormalizationError, match=r": line 1: negative density$"):
+        load_density_csv(path, build_quadrature(4))
+
+
 def test_load_density_csv_parses_valid_files_in_one_pass(tmp_path, monkeypatch):
     # header, comments, blank lines and spaces stay on the array parse
     def line_reader(path, fh):

@@ -13,9 +13,7 @@ from ldgq import (
     GLPenalized,
     Polynomial,
     Quartic,
-    QTensor,
     a_of_temperature,
-    f_bulk,
     rotate_coeffs,
     stationary_scalars,
     uniaxial_coeffs,
@@ -88,7 +86,7 @@ def test_energy_constant_field():
     sp = stationary_scalars(m, 44.5).s_plus
     grid = Grid3(6, 5, 4, 1.0, 0.5, 2.0)
     field = QField.constant(grid, uniaxial_coeffs(sp, Z))
-    fB = f_bulk(cfg.functional, QTensor(uniaxial_coeffs(sp, Z)))
+    fB = cfg.functional.density(uniaxial_coeffs(sp, Z))
     expected = grid.nx * grid.ny * grid.nz * grid.node_volume * fB
     assert discrete_energy(field, cfg) == pytest.approx(expected, rel=1e-13)
     assert expected < 0.0  # ordered state beats isotropic below the transition
@@ -534,7 +532,7 @@ def test_minimize_reaches_constant_minimizer_from_zero_interior():
     final, report = minimize(init, cfg)
     assert report.converged
     assert report.energy_history_monotone
-    fB = f_bulk(cfg.functional, QTensor(uniaxial_coeffs(sp, Z)))
+    fB = cfg.functional.density(uniaxial_coeffs(sp, Z))
     volume = grid.nx * grid.ny * grid.nz * grid.node_volume
     assert report.final_energy == pytest.approx(volume * fB, rel=1e-6)
     assert np.abs(final.values - uniaxial_coeffs(sp, Z)).max() < 1e-4
@@ -1073,6 +1071,23 @@ def test_read_field_diagnostics_name_file_lines(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FieldFormatError, match=r": line 6: node index \(0 9 2\)"):
         read_field(path)
+
+
+def test_read_field_skips_a_byte_order_mark(tmp_path):
+    path, marked = tmp_path / "field.ldgq", tmp_path / "marked.ldgq"
+    grid = Grid3(3, 4, 3, 0.5, 1.0, 0.25)
+    field = QField(grid, np.random.default_rng(4).standard_normal(grid.shape + (5,)))
+    write_field(path, field)
+    marked.write_bytes("\ufeff".encode() + path.read_bytes())
+    back = read_field(marked)
+    assert back.grid == grid
+    assert np.array_equal(back.values, field.values)
+    # the per-line reader rereads the file from its start, and still skips the mark
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace(lines[2].split()[3], "nan", 1)
+    marked.write_bytes("\ufeff".encode() + ("\n".join(lines) + "\n").encode())
+    with pytest.raises(FieldFormatError, match=r": line 3: non-finite value"):
+        read_field(marked)
 
 
 def test_field_file_bytes_match_a_per_node_writer(tmp_path):
