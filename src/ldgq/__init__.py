@@ -65,7 +65,7 @@ from .solver import (
     el_residual,
     harmonic_interior,
     minimize,
-    minimize_on_director_line,
+    minimize_on_subspace,
     minimize_uniaxial_fixed_director,
     read_field,
     write_field,

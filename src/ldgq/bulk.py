@@ -107,9 +107,9 @@ class BulkFunctional:
 
         The gradient is exact (to roundoff), from d tr Q^2 = 2 c and d tr Q^3 = 3 Q^2; the
         basis spans only traceless matrices, so the trace constraint never enters.
-        ``square`` replaces ``square_coeffs`` (the traceless part of Q^2) when given: on a
-        coordinate t of Q = t b along a unit uniaxial b, t -> t^2/sqrt(6) makes this the
-        exact kernel of t, with q of shape (1, ...).
+        ``square`` replaces ``square_coeffs`` (the traceless part of Q^2) when given: on the
+        coordinates of Q in a director's line or a frame's plane, ``solver._frame_square``
+        makes this the exact kernel of those k coordinates, with q of shape (k, ...).
         """
         sq = square_coeffs(q, axis=0) if square is None else square(q)
         tr2 = np.einsum("c...,c...->...", q, q)

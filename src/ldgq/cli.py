@@ -35,7 +35,7 @@ _SOLVER_DEFAULTS = {"tol": solver.SolverConfig.tol_residual,
                     "max_iters": solver.SolverConfig.max_iters, "restarts": 0, "seed": 0}
 # The most float64 values numpy can size in one array; a larger count cannot be held.
 _MAX_VALUES = np.iinfo(np.intp).max // 8
-# Fewest interior nodes on which data with a director relax on its line. Below it the
+# Fewest interior nodes on which data relax on their frame's line or plane. Below it the
 # line and its check take about 7 ms where the five-component flow takes 12 ms at 17^3
 # (the benchmark's relax-fine; in-process medians on a 2-vCPU VM), which could take that
 # op under the 25 ms sampling period of perfbench/refclock.py, which counts such an op
@@ -470,10 +470,10 @@ def _functional_at_one_temperature(cfg: RunConfig, command: str) -> bulk.BulkFun
 def cmd_minimize(cfg: RunConfig, out_dir: Path) -> int:
     """Relax the harmonic start and each restart's perturbed one; write field, report, audit.
 
-    Data with a director (uniaxial and per-face) on grids with at least
-    ``_LINE_MIN_INTERIOR`` interior nodes relax on that director's line, which certifies
-    its end in five components; the restarts perturb that field. Every other start
-    relaxes in five components.
+    On grids with at least ``_LINE_MIN_INTERIOR`` interior nodes the datum relaxes in its
+    frame's subspace, which certifies its end in five components: the director's line
+    (uniaxial and per-face data) or the e1, e2 plane (biaxial data). The restarts perturb
+    that field. Every other start relaxes in five components.
     """
     _require(cfg, "material", "grid", "boundary")
     fun = _functional_at_one_temperature(cfg, "minimize")
@@ -486,10 +486,10 @@ def cmd_minimize(cfg: RunConfig, out_dir: Path) -> int:
 
     bvals = boundary_values(cfg.grid, cfg.boundary)
     base_field = solver.harmonic_interior(solver.QField(cfg.grid, bvals))
-    # one director: the flow stays on its line
-    if ("director" in cfg.boundary
-            and math.prod(n - 2 for n in cfg.grid.shape) >= _LINE_MIN_INTERIOR):
-        runs = [solver.minimize_on_director_line(base_field, cfg.boundary["director"], scfg)]
+    # every datum has a frame, and the flow stays on its line or plane
+    axes = tuple(cfg.boundary[key] for key in ("director", "e1", "e2") if key in cfg.boundary)
+    if math.prod(n - 2 for n in cfg.grid.shape) >= _LINE_MIN_INTERIOR:
+        runs = [solver.minimize_on_subspace(base_field, axes, scfg)]
         base_field = runs[0][0]
     else:
         runs = [solver.minimize(base_field, scfg)]

@@ -6,15 +6,15 @@ edges, every term weighted with the full cell volume. With that quadrature
 the Euler-Lagrange residual (twice the elastic constant times the 7-point
 Laplacian minus the bulk gradient) is the exact negative energy gradient per
 unit node volume at every interior node. One descent loop, with c = 2 L, serves
-the two flows: ``minimize`` relaxes the five coefficients, and
-``minimize_on_director_line`` relaxes the coordinate t of Q = t b, b the unit
-uniaxial tensor along a director n, on the full energy restricted to that line, and
-certifies its end with ``minimize`` (the paper's bounds hold at critical points of the
-five-component energy). ``minimize_uniaxial_fixed_director`` is that run in the units
-of the scalar s of Q = s (n x n - I/3) = s sqrt(2/3) b. The line flow runs
-the one bulk kernel on its one component: on Q = t b, tr Q^2 = t^2, tr Q^3 = t^3/sqrt(6)
-and the traceless part of Q^2 is t^2/sqrt(6) b, so the kernel with that square map is
-exact, and no line pass forms a five-component array.
+the two flows: ``minimize`` relaxes the five coefficients, and ``minimize_on_subspace``
+relaxes the k coordinates x of Q = x . basis in the subspace of a boundary frame, on the
+full energy restricted to it: the line of one director n (k = 1), or the plane of a biaxial
+frame e1, e2 (k = 2). It certifies its end with ``minimize`` (the paper's bounds hold at
+critical points of the five-component energy). ``minimize_uniaxial_fixed_director`` is the
+line run in the units of the scalar s of Q = s (n x n - I/3) = s sqrt(2/3) b0, b0 the unit
+uniaxial tensor along n. Each subspace is closed under the traceless square, so tr Q^2 = x.x,
+tr Q^3 = x . square(x), and the one bulk kernel with that square map is exact on x: no
+subspace pass forms a five-component array.
 
 Each step is preconditioned L-BFGS (Nocedal, Math. Comp. 35, 1980; Liu &
 Nocedal, Math. Prog. 45, 1989) with the last m = 2 pairs s (the accepted step)
@@ -44,14 +44,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
 from typing import Optional
 
 import numpy as np
 
 from .bulk import SQRT6, BulkFunctional, Quartic, stationary_scalars
 from .errors import DivergenceError, FieldFormatError
-from .qtensor import uniaxial_coeffs
+from .qtensor import matrices_to_coeffs, uniaxial_coeffs
 
 __all__ = [
     "Grid3",
@@ -62,7 +62,7 @@ __all__ = [
     "el_residual",
     "minimize",
     "minimize_uniaxial_fixed_director",
-    "minimize_on_director_line",
+    "minimize_on_subspace",
     "harmonic_interior",
     "write_field",
     "read_field",
@@ -300,8 +300,8 @@ def _flow(values: np.ndarray, grid: Grid3, bulk, cfg: SolverConfig,
     """Energy-monotone L-BFGS flow of ``values`` (nx, ny, nz, ncomp) on interior nodes.
 
     It runs on a component-major (ncomp, nx, ny, nz) copy with c = 2 ``cfg.elastic_l``,
-    the elastic constant of an orthonormal basis (five coefficients, or the unit b of
-    the director line). Every trial is one ``_lbfgs_step`` (the last ``_MEMORY`` pairs
+    the elastic constant of an orthonormal basis (five coefficients, or the k of a
+    subspace). Every trial is one ``_lbfgs_step`` (the last ``_MEMORY`` pairs
     (s, y) applied to the residual with H0 = (sigma I - c lap_h)^-1,
     sigma = max(``_bulk_shift`` of the newest pair, 0.1/dt)) and one
     ``_energy_and_residual`` pass with ``bulk``. If a quasi-Newton trial would
@@ -410,37 +410,47 @@ def minimize(initial: QField, cfg: SolverConfig) -> tuple[QField, SolveReport]:
     return initial.with_values(values), report
 
 
-def _line_square(t: np.ndarray) -> np.ndarray:
-    """The traceless square of Q = t b, b the unit uniaxial tensor, as its coordinate on b."""
-    return t * t / SQRT6
+def _frame_square(x: np.ndarray) -> np.ndarray:
+    """The traceless square of Q = x . basis, for ``minimize_on_subspace``'s basis, x (k, ...).
 
-
-def minimize_on_director_line(start: QField, director,
-                              cfg: SolverConfig) -> tuple[QField, SolveReport]:
-    """Relax ``start`` on the line Q = t b of the unit uniaxial tensor b along ``director``.
-
-    Fields s(x) (n x n - I/3) with a constant n stay on that line under the flow, since
-    the Laplacian and the bulk gradient (built from Q and Q^2) keep them there. So the
-    flow runs on the one coordinate t = b.Q with c = 2 L (|b| = 1): the five-component
-    flow's energies, residual norms, dt and shifts, at one component's cost. dt starts
-    from the five-component Hessian bound on the lifted start. Five-component ``minimize``
-    then certifies t b, with the face bits of ``start``, on the iterations the line left;
-    one report covers both (``_merge_reports``).
+    u b0 + v b1 squares to ((u^2 - v^2) b0 - 2 u v b1)/sqrt(6), and t b0 to t^2/sqrt(6) b0.
     """
-    unit = uniaxial_coeffs(1.0, director)
-    unit /= np.linalg.norm(unit)
+    sq = x * x[0]
+    if len(x) == 2:
+        sq[0] -= x[1] * x[1]
+        sq[1] *= -2.0
+    return sq / SQRT6
+
+
+def minimize_on_subspace(start: QField, axes, cfg: SolverConfig) -> tuple[QField, SolveReport]:
+    """Relax ``start`` on the line of one director or the plane of an orthonormal pair e1, e2.
+
+    The orthonormal basis is b0, the unit uniaxial tensor along the first axis, and for a
+    pair b1 = (e2 x e2 - m x m)/sqrt(2), m = e1 x e2. Uniaxial fields with a constant
+    director, and fields diagonal in the frame e1, e2, m, stay in that subspace under the
+    flow, since the Laplacian and the bulk gradient (built from Q and Q^2) keep them there.
+    So the flow runs on the k coordinates x = basis . Q with c = 2 L (|b0| = |b1| = 1): the
+    five-component flow's energies, residual norms, dt and shifts, at k components' cost. dt
+    starts from the five-component Hessian bound on the lifted start. Five-component
+    ``minimize`` then certifies x . basis, with the face bits of ``start``, on the iterations
+    the subspace left; one report covers both (``_merge_reports``).
+    """
+    unit = uniaxial_coeffs(1.0, axes[0])
+    basis = [unit / np.linalg.norm(unit)]
+    if len(axes) == 2:
+        e2, m = axes[1], np.cross(*axes)
+        basis.append(matrices_to_coeffs(np.outer(e2, e2) - np.outer(m, m)) / math.sqrt(2.0))
     fun = cfg.functional
-
-    def hessian_bound(t):  # of the five-component kernel, off the line too
-        return _sampled_hessian_bound(fun.density_and_gradient, np.multiply.outer(unit, t[0]))
-
-    t, line = _flow((start.values @ unit)[..., None], start.grid,
-                    partial(fun.density_and_gradient, square=_line_square), cfg, hessian_bound)
-    values = np.multiply.outer(t[..., 0], unit)
+    x, sub = _flow(np.stack([start.values @ b for b in basis], axis=-1), start.grid,
+                   partial(fun.density_and_gradient, square=_frame_square), cfg,
+                   # of the five-component kernel, off the subspace too
+                   lambda q: _sampled_hessian_bound(
+                       fun.density_and_gradient, reduce(np.add, map(np.multiply.outer, basis, q))))
+    values = reduce(np.add, map(np.multiply.outer, np.moveaxis(x, -1, 0), basis))
     values[start.boundary_mask] = start.values[start.boundary_mask]
     field, check = minimize(start.with_values(values),
-                            replace(cfg, max_iters=cfg.max_iters - line.iterations))
-    return field, _merge_reports(line, check)
+                            replace(cfg, max_iters=cfg.max_iters - sub.iterations))
+    return field, _merge_reports(sub, check)
 
 
 def minimize_uniaxial_fixed_director(grid: Grid3, s_boundary, director,
@@ -449,7 +459,7 @@ def minimize_uniaxial_fixed_director(grid: Grid3, s_boundary, director,
 
     ``s_boundary`` is a constant or an (nx, ny, nz) array whose face entries
     supply the Dirichlet datum; the interior starts at their mean. This is
-    ``minimize_on_director_line`` in s units, its check included: n x n - I/3 = |B| b
+    ``minimize_on_subspace`` on n's line in s units, its check included: n x n - I/3 = |B| b
     with |B| = sqrt(2/3) and b the unit uniaxial tensor, so s = t/|B|, the s-residual is
     |B| times the t-residual, and the run's tolerance is ``cfg.tol_residual``/|B|. The
     report's residuals are in s units; its dt and shifts are the flows'. Its
@@ -475,8 +485,8 @@ def minimize_uniaxial_fixed_director(grid: Grid3, s_boundary, director,
 
     base = uniaxial_coeffs(1.0, director)
     norm = float(np.linalg.norm(base))
-    final, report = minimize_on_director_line(
-        QField(grid, uniaxial_coeffs(s, director)), director,
+    final, report = minimize_on_subspace(
+        QField(grid, uniaxial_coeffs(s, director)), (director,),
         replace(cfg, tol_residual=cfg.tol_residual / norm))
     s = final.values @ base / norm**2
     s[mask] = bvals
@@ -486,11 +496,11 @@ def minimize_uniaxial_fixed_director(grid: Grid3, s_boundary, director,
 
 
 def _merge_reports(line: SolveReport, check: SolveReport) -> SolveReport:
-    """One report for a line relaxation and the five-component ``minimize`` from its end.
+    """One report for a subspace relaxation and the five-component ``minimize`` from its end.
 
-    The counts, dt range and trace rows are the line's trials; the final energy and
+    The counts, dt range and trace rows are the subspace's trials; the final energy and
     residual, ``converged`` and ``stop_reason`` are the check's, and so is the energy
-    and residual of the line's last row. Trials the check took add their counts and rows.
+    and residual of the subspace's last row. Trials the check took add their counts and rows.
     """
     *rows, (iteration, _, _, shift) = line.trace
     (_, energy, rmax, _), *more = check.trace

@@ -13,6 +13,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 from ldgq import cli, solver
 from ldgq.bounds import BoundAudit
 from ldgq.bulk import BulkFunctional
@@ -98,17 +100,17 @@ def test_relax_fine_keeps_the_five_component_path(tmp_path, monkeypatch):
     # The benchmark's relax-fine op (17^3) runs under refclock's 25 ms sampling period
     # once it relaxes on the director line, and an op without a sample counts as
     # failed (ROADMAP item 1). So relax-fine stays under cli._LINE_MIN_INTERIOR, and
-    # relax-33 relaxes on the line once. This test goes away with ROADMAP item 6 (c),
+    # relax-33 relaxes on the line (minimize_on_subspace) once. This test goes away with ROADMAP item 6 (c),
     # which removes the threshold after item 1 mends short ops.
     gen = _perfbench("gen")
     calls = []
-    on_line = solver.minimize_on_director_line
+    on_line = solver.minimize_on_subspace
 
     def counted(*args, **kwargs):
         calls.append(args[0].grid.shape)
         return on_line(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "minimize_on_director_line", counted)
+    monkeypatch.setattr(solver, "minimize_on_subspace", counted)
     for name, text, expected in (("relax-fine", gen.relax_fine_config(0), []),
                                  ("relax-33", gen.relax33_config(0), [(33, 33, 33)])):
         config = tmp_path / f"{name}.cfg"
@@ -116,3 +118,19 @@ def test_relax_fine_keeps_the_five_component_path(tmp_path, monkeypatch):
         calls.clear()
         assert cli.main(["--out", str(tmp_path / name), "minimize", "--config", str(config)]) == 0
         assert calls == expected, name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_relax_outputs_pass_the_benchmarks_own_output_check(tmp_path, monkeypatch, seed):
+    # The benchmark fails an op whose outputs its oracle rejects: convergence, the
+    # residual recomputed with the 3x3-matrix formulation, the bound and audit verdicts,
+    # and the final energy against its reference.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # oracle.py imports gen as a sibling
+    gen, oracle = _perfbench("gen"), _perfbench("oracle")
+    for name, text in (("relax-33", gen.relax33_config(seed)),
+                       ("relax-fine", gen.relax_fine_config(seed))):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(text)
+        out = tmp_path / name
+        assert cli.main(["--out", str(out), "minimize", "--config", str(config)]) == 0
+        assert oracle.check_relax(name, out) == [], name

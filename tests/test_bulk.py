@@ -19,8 +19,10 @@ from ldgq import (
     triangle_report,
     uniaxial_coeffs,
 )
-from ldgq.qtensor import BASIS, coeffs_to_matrices, square_coeffs, trace_invariants
-from ldgq.solver import _line_square
+from ldgq.bulk import SQRT6
+from ldgq.qtensor import (BASIS, coeffs_to_matrices, matrices_to_coeffs, square_coeffs,
+                          trace_invariants)
+from ldgq.solver import _frame_square
 
 
 def grad_scale(fun, q):
@@ -254,7 +256,7 @@ BENCH_SEXTIC = Polynomial(a2=0.5 * 0.42 * (44.0 - 45.0),
 )
 def test_line_kernel_matches_matrix_formulation_and_the_lift(n, radius, t, eps, seed):
     # On Q = u b, b the unit uniaxial tensor along a director, the kernel with
-    # ``square = _line_square`` is the density of Q and b . dF/dQ. The line flow
+    # ``square = _frame_square`` is the density of Q and b . dF/dQ. The line flow
     # uses it for the coordinate t of Q = t b.
     m = mbba(scale=1e-3)
     rng = np.random.default_rng(seed)
@@ -273,7 +275,7 @@ def test_line_kernel_matches_matrix_formulation_and_the_lift(n, radius, t, eps, 
         else:
             dens, grad = matrix_kernels(fun.a2, fun.terms, q)
             dscale, gscale = kernel_scales(fun.a2, fun.terms, q)
-        got_dens, got_grad = fun.density_and_gradient(u[None], square=_line_square)
+        got_dens, got_grad = fun.density_and_gradient(u[None], square=_frame_square)
         assert got_grad.shape == (1, u.size)
         assert_close(got_dens, dens, dscale)
         assert_close(got_grad[0], grad @ unit, gscale)
@@ -281,6 +283,60 @@ def test_line_kernel_matches_matrix_formulation_and_the_lift(n, radius, t, eps, 
         lift_dens, lift_grad = fun.density_and_gradient(q.T)
         assert_close(got_dens, lift_dens, dscale)
         assert_close(got_grad[0], unit @ lift_grad, gscale)
+
+
+def frame_basis(axes):
+    """b0, the unit uniaxial tensor along the first axis, and for a pair e1, e2 also
+    b1 = (e2 x e2 - m x m)/sqrt(2), m = e1 x e2: the basis of ``solver.minimize_on_subspace``."""
+    unit = uniaxial_coeffs(1.0, axes[0])
+    basis = [unit / np.linalg.norm(unit)]
+    if len(axes) == 2:
+        m = np.cross(*axes)
+        basis.append(matrices_to_coeffs(np.outer(axes[1], axes[1]) - np.outer(m, m)) / np.sqrt(2))
+    return np.array(basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from([1, 2]),
+    n=st.integers(1, 40),
+    radius=st.floats(0.01, 3.0),
+    t=st.floats(40.0, 50.0),
+    eps=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_subspace_kernel_matches_the_five_component_kernel(k, n, radius, t, eps, seed):
+    # In a random frame, the kernel on the k coordinates x of a director's line or a
+    # frame's plane, with ``square = _frame_square``, is the five-component kernel on the
+    # lifted field x . basis: its density, and its gradient projected on the basis.
+    m = mbba(scale=1e-3)
+    rng = np.random.default_rng(seed)
+    frame = np.linalg.qr(rng.standard_normal((3, 3)))[0].T
+    basis = frame_basis(frame[:k])
+    assert np.allclose(basis @ basis.T, np.eye(k), rtol=0.0, atol=1e-14)
+    # both sides of the GL threshold |Q| = 1/sqrt(6), in a random direction of the subspace
+    side = rng.standard_normal(k)
+    near = np.multiply.outer(side / np.linalg.norm(side), [0.999, 1.001]) / np.sqrt(6.0)
+    x = np.concatenate([radius * rng.uniform(-1.0, 1.0, (k, n)), near], axis=1)
+    lifted = x.T @ basis  # node-major
+    gl = GLPenalized(m, t, eps)
+    for fun in (Quartic(m, t), BENCH_SEXTIC, gl):
+        if fun is gl:
+            *_, dscale, gscale = gl_matrix_kernels(gl, lifted)
+        else:
+            dscale, gscale = kernel_scales(fun.a2, fun.terms, lifted)
+        got_dens, got_grad = fun.density_and_gradient(x, square=_frame_square)
+        five_dens, five_grad = fun.density_and_gradient(lifted.T)
+        assert got_grad.shape == x.shape
+        assert_close(got_dens, five_dens, dscale, rtol=1e-13)
+        assert_close(got_grad.T, (basis @ five_grad).T, gscale, rtol=1e-13)
+    # the square map is the traceless square of the lifted field, in the subspace
+    square = square_coeffs(lifted)
+    size = (x * x).sum(0) / np.sqrt(6.0) + 1e-300
+    assert_close(_frame_square(x).T, square @ basis.T, size, rtol=1e-13)
+    assert_close((square @ basis.T) @ basis, square, size, rtol=1e-13)
+    if k == 1:
+        assert np.array_equal(_frame_square(x), x * x / SQRT6)
 
 
 @settings(max_examples=25, deadline=None)

@@ -727,21 +727,86 @@ def test_minimize_keeps_the_boundary_datum_on_the_faces(tmp_path, boundary):
 @pytest.mark.parametrize("kind", sorted(BOUNDARIES))
 @pytest.mark.parametrize("min_interior", [0, 27, 28])
 def test_only_one_directors_data_relax_on_its_line(tmp_path, monkeypatch, kind, min_interior):
-    # biaxial data leave every director's line, so they never enter the line path,
-    # and neither do grids with fewer interior nodes than the threshold (27 at 5^3)
+    # one director's data relax on its line, and biaxial data on their e1, e2 plane, both
+    # through minimize_on_subspace; grids with fewer interior nodes than the threshold
+    # (27 at 5^3) never enter a subspace
     monkeypatch.setattr(cli, "_LINE_MIN_INTERIOR", min_interior)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(RUN.replace(BOUNDARIES["uniaxial"], BOUNDARIES[kind]))
-    calls, relax = [], solver.minimize_on_director_line
+    calls, relax = [], solver.minimize_on_subspace
 
-    def record(start, director, scfg):
-        calls.append(director)
-        return relax(start, director, scfg)
+    def record(start, axes, scfg):
+        calls.append(axes)
+        return relax(start, axes, scfg)
 
-    monkeypatch.setattr(solver, "minimize_on_director_line", record)
+    monkeypatch.setattr(solver, "minimize_on_subspace", record)
     assert cli.main(["--out", str(tmp_path), "minimize", "--config", str(cfg)]) == EXIT_OK
-    on_line = kind != "biaxial" and min_interior <= 27
-    assert calls == ([(0.0, 0.0, 1.0)] if on_line else [])
+    boundary = parse_config(cfg.read_text()).boundary
+    frame = ((boundary["e1"], boundary["e2"]) if kind == "biaxial"
+             else (boundary["director"],))
+    assert calls == ([frame] if min_interior <= 27 else [])
+
+
+def _biaxial_run(s, r, e1, e2, nx, variant="quartic", t=44.0):
+    frame = "".join(f"{key} = {' '.join(repr(float(x)) for x in vec)}\n"
+                    for key, vec in (("e1", e1), ("e2", e2)))
+    return (minimize_config(t=t, nx=nx)
+            .replace(BOUNDARIES["uniaxial"], f"kind = biaxial\ns = {s!r}\nr = {r!r}\n" + frame)
+            .replace("variant = quartic", VARIANTS[variant]))
+
+
+_ROTATED = (np.array([1.0, 2.0, 2.0]) / 3.0, np.array([2.0, 1.0, -2.0]) / 3.0)
+
+
+@pytest.mark.parametrize("text", [
+    _biaxial_run(0.5, 0.2, (1, 0, 0), (0, 1, 0), 9),
+    _biaxial_run(0.5, 0.2, *_ROTATED, 11),
+    _biaxial_run(0.5, 0.0, *_ROTATED, 13),
+    _biaxial_run(0.4, 0.4, (0, 0, 1), (1, 0, 0), 9),
+    _biaxial_run(0.5, 0.2, *_ROTATED, 9, variant="gl", t=45.5),
+], ids=["axis-aligned", "rotated", "r=0", "s=r", "rotated-gl"])
+def test_biaxial_plane_runs_take_the_five_component_trials(tmp_path, monkeypatch, text):
+    # Biaxial data stay in their frame's plane, so the plane flow's trials are the
+    # five-component flow's: the same counts, energies, exit code and audit verdict.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    calls, relax = [], solver.minimize_on_subspace
+
+    def record(start, axes, scfg):
+        calls.append(len(axes))
+        return relax(start, axes, scfg)
+
+    monkeypatch.setattr(solver, "minimize_on_subspace", record)
+    runs = []
+    for min_interior in (0, 10**9):  # the plane, then five components throughout
+        monkeypatch.setattr(cli, "_LINE_MIN_INTERIOR", min_interior)
+        out = tmp_path / str(min_interior)
+        rc = cli.main(["--out", str(out), "minimize", "--config", str(cfg)])
+        runs.append((rc, *(json.loads((out / name).read_text())
+                           for name in ("solve_report.json", "audit.json"))))
+    assert calls == [2]
+    (plane_rc, plane, plane_audit), (five_rc, five, five_audit) = runs
+    counts = ("iterations", "fallbacks", "rejected_steps")
+    assert [plane[k] for k in counts] == [five[k] for k in counts]
+    assert plane["iterations"] > 0 and plane["converged"]
+    assert plane["final_energy"] == pytest.approx(five["final_energy"], rel=1e-12, abs=0.0)
+    assert plane_rc == five_rc
+    verdict = ("regime", "satisfied", "hypothesis_met")
+    assert [plane_audit[k] for k in verdict] == [five_audit[k] for k in verdict]
+
+
+@pytest.mark.parametrize("min_interior", [0, 10**9])
+def test_biaxial_data_past_the_float_range_exit_3_without_a_numpy_warning(tmp_path, monkeypatch,
+                                                                         capsys, min_interior):
+    # in the plane and in five components, the first pass overflows its energy
+    monkeypatch.setattr(cli, "_LINE_MIN_INTERIOR", min_interior)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_biaxial_run(1e150, 5e149, *_ROTATED, 7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["--out", str(tmp_path), "minimize", "--config", str(cfg)])
+    assert rc == EXIT_DIVERGENCE
+    assert "initial field has non-finite energy" in capsys.readouterr().err
 
 
 def test_the_line_and_its_five_component_check_share_one_iteration_budget(tmp_path,

@@ -296,8 +296,8 @@ def test_director_line_pass_matches_matrix_formulation(shape, spacings, variant,
     # the unit uniaxial b, its residual is the matrix residual's coefficient along b
     # (c = 2 L, as |b| = 1), and the five-component residual of t b is parallel to b.
     m, cfg, grid, director, bulk = _captured_line_pass(
-        lambda grid, director, cfg: solver.minimize_on_director_line(
-            uniform_boundary_field(grid, 0.3, director), director, cfg),
+        lambda grid, director, cfg: solver.minimize_on_subspace(
+            uniform_boundary_field(grid, 0.3, director), (director,), cfg),
         variant, shape, spacings, director)
     unit = uniaxial_coeffs(1.0, director) / np.sqrt(2.0 / 3.0)
     t = radius * np.random.default_rng(seed).standard_normal(grid.shape)
@@ -358,7 +358,7 @@ def test_director_line_relaxation_takes_the_five_component_trials(variant, kind)
     bvals = _line_data(kind, grid, director, 0.5 * min(stationary_scalars(m, t).s_plus, 1.0))
     start = harmonic_interior(QField(grid, bvals))
     _, five = minimize(start, cfg)
-    lifted, line = solver.minimize_on_director_line(start, director, cfg)
+    lifted, line = solver.minimize_on_subspace(start, (director,), cfg)
     assert (line.iterations, line.fallbacks, line.rejected_steps) == (
         five.iterations, five.fallbacks, five.rejected_steps)
     assert line.iterations > 0 and line.converged
@@ -395,8 +395,8 @@ def test_line_runs_end_in_one_five_component_minimize_on_the_iterations_left(mon
     monkeypatch.setattr(solver, "_flow", capture_flow)
     monkeypatch.setattr(solver, "minimize", capture_minimize)
     if entry == "line":
-        result, report = solver.minimize_on_director_line(
-            harmonic_interior(uniform_boundary_field(grid, s0, director)), director, cfg)
+        result, report = solver.minimize_on_subspace(
+            harmonic_interior(uniform_boundary_field(grid, s0, director)), (director,), cfg)
     else:
         result, report = minimize_uniaxial_fixed_director(grid, s0, director, cfg)
     (check_cfg, field, check), = checks
@@ -418,8 +418,8 @@ def test_merged_report_counts_the_line_and_the_checks_trials():
     m, cfg = quartic_cfg(t=44.0, tol_residual=1e-7)
     grid = Grid3(7, 7, 7, 1.0, 1.0, 1.0)
     start = harmonic_interior(uniform_boundary_field(grid, 0.5))
-    lifted, line = solver.minimize_on_director_line(start, Z, dataclasses.replace(cfg,
-                                                                                  max_iters=3))
+    lifted, line = solver.minimize_on_subspace(start, (Z,), dataclasses.replace(cfg,
+                                                                                max_iters=3))
     _, check = minimize(lifted, cfg)
     assert line.stop_reason == "max_iters" and check.iterations > 0
     merged = solver._merge_reports(line, check)
@@ -434,7 +434,7 @@ def test_merged_report_counts_the_line_and_the_checks_trials():
     assert merged.dt_initial == max(line.dt_initial, check.dt_initial)
     assert merged.dt_final == min(line.dt_final, check.dt_final)
     # a check that takes no step changes only the last row's energy and residual
-    lifted, done = solver.minimize_on_director_line(start, Z, cfg)
+    lifted, done = solver.minimize_on_subspace(start, (Z,), cfg)
     _, idle = minimize(lifted, cfg)
     merged = solver._merge_reports(done, idle)
     assert idle.iterations == 0
@@ -450,7 +450,7 @@ def test_director_line_divergence_raises_without_a_numpy_warning():
     m, cfg = quartic_cfg(t=44.0)
     grid = Grid3(5, 5, 5, 1.0, 1.0, 1.0)
     with pytest.raises(DivergenceError, match="initial field has non-finite energy"):
-        solver.minimize_on_director_line(uniform_boundary_field(grid, 1e100), Z, cfg)
+        solver.minimize_on_subspace(uniform_boundary_field(grid, 1e100), (Z,), cfg)
     # finite data past the float range too, whose face sum overflows their mean
     mixed = np.full(grid.shape, 1.7e308)
     mixed[::2] = -1.7e308
@@ -488,8 +488,9 @@ def test_line_flows_evaluate_the_five_component_kernel_only_in_the_dt_probe(monk
     grid = Grid3(9, 9, 9, 1.0, 1.0, 1.0)
     s0 = 0.5 * stationary_scalars(m, 44.0).s_plus
     director = np.array([1.0, 2.0, 2.0]) / 3.0
-    for run in (lambda: solver.minimize_on_director_line(
-                    harmonic_interior(uniform_boundary_field(grid, s0, director)), director, cfg),
+    for run in (lambda: solver.minimize_on_subspace(
+                    harmonic_interior(uniform_boundary_field(grid, s0, director)), (director,),
+                    cfg),
                 lambda: minimize_uniaxial_fixed_director(grid, s0, director, cfg)):
         shapes.clear()
         _, report = run()
@@ -917,8 +918,8 @@ def test_fixed_director_solver_is_the_line_flow_in_s_units(variant, data):
     start[~mask] = s_boundary[mask].mean()
     norm = np.linalg.norm(uniaxial_coeffs(1.0, director))
     assert norm == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-15)
-    line_field, line = solver.minimize_on_director_line(
-        QField(grid, uniaxial_coeffs(start, director)), director,
+    line_field, line = solver.minimize_on_subspace(
+        QField(grid, uniaxial_coeffs(start, director)), (director,),
         dataclasses.replace(cfg, tol_residual=cfg.tol_residual / norm))
     s, fixed = minimize_uniaxial_fixed_director(grid, s_boundary, director, cfg)
     assert line.converged and fixed.converged and line.iterations > 0
