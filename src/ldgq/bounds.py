@@ -14,6 +14,7 @@ from typing import NamedTuple, Optional, TYPE_CHECKING
 import numpy as np
 
 from .bulk import (
+    SQRT6,
     GLPenalized,
     Material,
     Polynomial,
@@ -42,8 +43,6 @@ __all__ = [
     "norm_bound",
     "audit_field",
 ]
-
-SQRT6 = np.sqrt(6.0)
 
 
 def triangle_scale(s: float, r: float) -> float:

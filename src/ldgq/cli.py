@@ -106,8 +106,7 @@ _BOUNDARY_NEEDS = {
 }
 # the keys each functional variant needs besides 'variant'
 _VARIANT_NEEDS = {"quartic": (), "gl": ("eps",), "polynomial": ("a2", "term")}
-# Every section, its keys and each key's reader; serialize_config writes the
-# keys in this order.
+# Every section, its keys and each key's reader; parse_config reads every line through it.
 _SCHEMA = {
     "material": dict.fromkeys(("alpha", "b", "c", "t_star", "elastic_l"), _FLOAT),
     "temperature": dict.fromkeys(("value", *_SWEEP), _FLOAT),
@@ -239,40 +238,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**cfg)
 
 
-def _fields(obj) -> dict:
-    return {} if obj is None else {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-
-
-def _text(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, tuple):
-        return " ".join(repr(v) for v in value)
-    return repr(value)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text for a RunConfig; parse(serialize(parse(t))) == parse(t)."""
-    values = {
-        "material": _fields(cfg.material),
-        "temperature": {"value": cfg.temperature, **dict(zip(_SWEEP, cfg.sweep or ()))},
-        "functional": cfg.functional,
-        "grid": _fields(cfg.grid),
-        "boundary": cfg.boundary or {},
-        "solver": cfg.solver,
-    }
-    out: list[str] = []
-    for name, keys in _SCHEMA.items():
-        lines = [
-            f"{key} = {_text(v)}"
-            for key, read in keys.items() if values[name].get(key) is not None
-            for v in (values[name][key] if read is _term else [values[name][key]])
-        ]
-        if lines:
-            out += [f"[{name}]", *lines]
-    return "\n".join(out) + "\n"
-
-
 def _require(cfg: RunConfig, *names: str) -> None:
     for name in names:
         if getattr(cfg, name) is None:
@@ -340,7 +305,7 @@ def _temperatures(cfg: RunConfig) -> np.ndarray:
 def _json_default(obj):
     """JSON encoding of the dataclasses and numpy values the reports hold."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _fields(obj)
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")

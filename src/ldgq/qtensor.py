@@ -8,6 +8,7 @@ keeps both linear constraints exact during gradient flow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,11 +104,22 @@ def rotate_coeffs(coeffs, rot) -> np.ndarray:
     return matrices_to_coeffs(np.einsum("ip,...pq,jq->...ij", rot, mats, rot))
 
 
+def unit_frame(*axes) -> list[np.ndarray]:
+    """A director, or a pair e1, e2, as 3-vectors; FrameError unless orthonormal to 1e-12."""
+    vecs = [np.asarray(a, dtype=float) for a in axes]
+    if len(vecs) not in (1, 2):
+        raise FrameError(f"a frame is one director or a pair e1, e2, not {len(vecs)} vectors")
+    if not all(v.shape == (3,) and abs(v @ v - 1.0) <= 1e-12 for v in vecs):
+        raise FrameError("director must be a unit vector" if len(vecs) == 1
+                         else "e1 and e2 must be unit vectors")
+    if len(vecs) == 2 and not abs(vecs[0] @ vecs[1]) <= 1e-12:
+        raise FrameError("e1 and e2 must be orthogonal")
+    return vecs
+
+
 def uniaxial_coeffs(s, director) -> np.ndarray:
     """Coefficients of s * (n x n - I/3) for scalar or array-valued s."""
-    n = np.asarray(director, dtype=float)
-    if abs(n @ n - 1.0) > 1e-12:
-        raise FrameError("director must be a unit vector")
+    (n,) = unit_frame(director)
     base = matrices_to_coeffs(np.outer(n, n) - np.eye(3) / 3.0)
     return np.asarray(s, dtype=float)[..., None] * base
 
@@ -164,12 +176,7 @@ def make_biaxial(s: float, r: float, e1, e2) -> QTensor:
     r = 0 gives the uniaxial tensor with director e1. Raises FrameError when
     e1, e2 are not unit length and mutually orthogonal to within 1e-12.
     """
-    e1 = np.asarray(e1, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-    if abs(e1 @ e1 - 1.0) > 1e-12 or abs(e2 @ e2 - 1.0) > 1e-12:
-        raise FrameError("e1 and e2 must be unit vectors")
-    if abs(e1 @ e2) > 1e-12:
-        raise FrameError("e1 and e2 must be orthogonal")
+    e1, e2 = unit_frame(e1, e2)
     eye3 = np.eye(3) / 3.0
     mat = s * (np.outer(e1, e1) - eye3) + r * (np.outer(e2, e2) - eye3)
     return QTensor.from_matrix(mat)
@@ -207,11 +214,13 @@ def biaxiality(q: QTensor) -> float:
 
     The exact value lies in [0, 1]: it vanishes for uniaxial tensors and
     equals one when the eigenvalues are (l, 0, -l). Floating-point roundoff
-    may exceed the endpoints by a few ulps near them. Undefined at Q = 0.
+    may exceed the endpoints by a few ulps near them. Undefined at Q = 0. Taken on Q/|Q|,
+    as it is scale-free, so that no power of tr Q^2 underflows or overflows.
     """
-    tr2, tr3 = trace_invariants(q.coeffs)
-    if tr2 == 0.0:
+    norm = math.hypot(*q.coeffs)
+    if norm == 0.0:
         raise ValueError("biaxiality is undefined at Q = 0")
+    tr2, tr3 = trace_invariants(q.coeffs / norm)
     return float(1.0 - 6.0 * tr3 * tr3 / tr2**3)
 
 

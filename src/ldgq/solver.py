@@ -51,7 +51,7 @@ import numpy as np
 
 from .bulk import SQRT6, BulkFunctional, Quartic, stationary_scalars
 from .errors import DivergenceError, FieldFormatError
-from .qtensor import matrices_to_coeffs, uniaxial_coeffs
+from .qtensor import matrices_to_coeffs, uniaxial_coeffs, unit_frame
 
 __all__ = [
     "Grid3",
@@ -79,6 +79,10 @@ _MEMORY = 2
 
 # Most rows ``SolveReport.trace`` keeps, evenly thinned, first and last included.
 _TRACE_ROWS = 32
+
+# Most a start's face values may leave its subspace, relative to their largest entry: data
+# built on a frame 1e-12 off unit and orthogonal, as the frame rule admits, leave it by ~1e-12.
+_SUBSPACE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -434,12 +438,20 @@ def minimize_on_subspace(start: QField, axes, cfg: SolverConfig) -> tuple[QField
     starts from the five-component Hessian bound on the lifted start. Five-component
     ``minimize`` then certifies x . basis, with the face bits of ``start``, on the iterations
     the subspace left; one report covers both (``_merge_reports``).
+
+    Raises FrameError unless ``axes`` is one unit vector or an orthonormal pair, and
+    ValueError when the face values of ``start`` leave the subspace beyond roundoff.
     """
+    axes = unit_frame(*axes)
     unit = uniaxial_coeffs(1.0, axes[0])
     basis = [unit / np.linalg.norm(unit)]
     if len(axes) == 2:
         e2, m = axes[1], np.cross(*axes)
         basis.append(matrices_to_coeffs(np.outer(e2, e2) - np.outer(m, m)) / math.sqrt(2.0))
+    faces = start.values[start.boundary_mask]
+    off = faces - (faces @ np.transpose(basis)) @ basis
+    if np.abs(off).max() > _SUBSPACE_RTOL * np.abs(faces).max():
+        raise ValueError("the start's face values leave the subspace of axes")
     fun = cfg.functional
     x, sub = _flow(np.stack([start.values @ b for b in basis], axis=-1), start.grid,
                    partial(fun.density_and_gradient, square=_frame_square), cfg,

@@ -134,3 +134,16 @@ def test_relax_outputs_pass_the_benchmarks_own_output_check(tmp_path, monkeypatc
         out = tmp_path / name
         assert cli.main(["--out", str(out), "minimize", "--config", str(config)]) == 0
         assert oracle.check_relax(name, out) == [], name
+
+
+def test_inspect_outputs_pass_the_benchmarks_own_output_check(tmp_path, monkeypatch):
+    # The inspect op's verify, phase, triangles and moments commands, run as the benchmark
+    # runs them; phase.csv and triangles.json come from cli's hand-laid text templates.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workload.py imports its siblings
+    workload = _perfbench("workload")
+    seed = 0
+    inputs = workload.gen.write_inputs("inspect", seed, tmp_path / "inputs")
+    out = tmp_path / "inspect"
+    for name, argv in workload.command_lines("inspect", inputs, out):
+        assert cli.main(argv) == 0, name
+    assert workload.oracle.check_inspect(seed, workload.gen.verify_field(seed), out) == []

@@ -16,7 +16,6 @@ from ldgq.cli import (
     EXIT_OK,
     EXIT_PARSE,
     parse_config,
-    serialize_config,
 )
 from ldgq.bulk import Material, characteristic_temperatures
 from ldgq.errors import ConfigError, RegimeError
@@ -176,29 +175,47 @@ VARIANTS = {
     "gl": "variant = gl\neps = 0.1",
     "polynomial": "variant = polynomial\na2 = -0.2\nterm = 0 1 -1.0\nterm = 2 0 0.5",
 }
+# what parse_config reads from each section above
+PARSED_BOUNDARIES = {
+    "uniaxial": {"kind": "uniaxial", "s0": 0.8, "director": (0.0, 0.0, 1.0)},
+    "biaxial": {"kind": "biaxial", "s": 0.5, "r": 0.2, "e1": (1.0, 0.0, 0.0),
+                "e2": (0.0, 1.0, 0.0)},
+    "per-face": {"kind": "per-face", "xlo": 0.2, "xhi": 0.3, "ylo": 0.4, "yhi": 0.5,
+                 "zlo": 0.6, "zhi": 0.7, "director": (0.0, 0.0, 1.0)},
+}
+PARSED_VARIANTS = {
+    "quartic": {"variant": "quartic"},
+    "gl": {"variant": "gl", "eps": 0.1},
+    "polynomial": {"variant": "polynomial", "a2": -0.2, "term": ((0, 1, -1.0), (2, 0, 0.5))},
+}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("kind", BOUNDARIES)
 def test_config_roundtrip_every_kind_and_variant(kind, variant):
+    # the text's every value comes back in the parsed config
     text = (minimize_config(extra="restarts = 2\nseed = 7\n")
             .replace(BOUNDARIES["uniaxial"], BOUNDARIES[kind])
             .replace(VARIANTS["quartic"], VARIANTS[variant]))
-    cfg = parse_config(text)
-    assert cfg.boundary["kind"] == kind and cfg.functional["variant"] == variant
-    assert parse_config(serialize_config(cfg)) == cfg
+    assert parse_config(text) == cli.RunConfig(
+        material=Material(0.42, 6.4, 3.5, 45.0, 1.0),
+        temperature=44.5,
+        functional=PARSED_VARIANTS[variant],
+        grid=Grid3(9, 9, 9, 1.0, 1.0, 1.0),
+        boundary=PARSED_BOUNDARIES[kind],
+        solver={"tol": 1e-7, "max_iters": 100000, "restarts": 2, "seed": 7},
+    )
 
 
-def test_config_roundtrip_idempotent():
+def test_config_defaults_sweeps_and_repeated_terms():
     # sweeps, the defaults and repeated terms; minimize configs are checked above
     sweep = MATERIAL_KJ + "\n[temperature]\nstart = 44.0\nstop = 47.0\nstep = 0.5\n"
     cfg = parse_config(sweep)
-    assert parse_config(serialize_config(cfg)) == cfg
+    assert cfg.sweep == (44.0, 47.0, 0.5) and cfg.temperature is None
     assert cfg.functional == {"variant": "quartic"}
     assert cfg.solver == {"tol": 1e-8, "max_iters": 200_000, "restarts": 0, "seed": 0}
     poly = MATERIAL_KJ + "\n[functional]\n" + VARIANTS["polynomial"] + "\n"
     cfg = parse_config(poly)
-    assert parse_config(serialize_config(cfg)) == cfg
     assert cfg.functional["term"] == ((0, 1, -1.0), (2, 0, 0.5))
 
 
@@ -586,8 +603,13 @@ def test_readme_config_example_round_trips():
     section = readme[readme.index("### Configuration format"):]
     example = section[section.index("```ini\n") + len("```ini\n"):]
     cfg = parse_config(example[:example.index("```")])
-    assert cfg.material and cfg.temperature and cfg.grid and cfg.boundary
-    assert parse_config(serialize_config(cfg)) == cfg
+    assert cfg == cli.RunConfig(
+        material=Material(0.42, 6.4, 3.5, 45.0, 1.0),
+        temperature=44.5,
+        grid=Grid3(17, 17, 17, 1.0, 1.0, 1.0),
+        boundary={"kind": "uniaxial", "s0": 0.8, "director": (0.0, 0.0, 1.0)},
+        solver={"tol": 1e-7, "max_iters": 200000, "restarts": 0, "seed": 0},
+    )
 
 
 def test_readme_library_example_runs(capsys):
@@ -793,6 +815,33 @@ def test_biaxial_plane_runs_take_the_five_component_trials(tmp_path, monkeypatch
     assert plane_rc == five_rc
     verdict = ("regime", "satisfied", "hypothesis_met")
     assert [plane_audit[k] for k in verdict] == [five_audit[k] for k in verdict]
+
+
+# a frame inside the frame rule's 1e-12, not a unit frame to roundoff
+_EDGE = (np.array([1.0 + 4e-13, 0.0, 0.0]), np.array([9e-13, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("text, frame", [
+    (RUN.replace("0 0 1", " ".join(repr(float(x)) for x in _ROTATED[0])), (tuple(_ROTATED[0]),)),
+    (_biaxial_run(0.5, 0.2, *_EDGE, 5), tuple(map(tuple, _EDGE))),
+], ids=["uniaxial-rotated", "biaxial-edge"])
+def test_off_axis_and_edge_frames_pass_the_subspace_checks(tmp_path, monkeypatch, text, frame):
+    # minimize_on_subspace rejects frames and face values off its subspace; no datum that
+    # parse_config accepts may be one of them. The axis-aligned kinds are checked in
+    # test_only_one_directors_data_relax_on_its_line, a rotated biaxial frame in
+    # test_biaxial_plane_runs_take_the_five_component_trials.
+    monkeypatch.setattr(cli, "_LINE_MIN_INTERIOR", 0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    calls, relax = [], solver.minimize_on_subspace
+
+    def record(start, axes, scfg):
+        calls.append(axes)
+        return relax(start, axes, scfg)
+
+    monkeypatch.setattr(solver, "minimize_on_subspace", record)
+    assert cli.main(["--out", str(tmp_path), "minimize", "--config", str(cfg)]) == EXIT_OK
+    assert calls == [frame]
 
 
 @pytest.mark.parametrize("min_interior", [0, 10**9])

@@ -137,6 +137,15 @@ def test_biaxiality_endpoints_and_error():
         biaxiality(QTensor.zero())
 
 
+def test_biaxiality_does_not_change_with_the_scale_of_q():
+    # (tr Q^3)^2 and (tr Q^2)^3 underflow at 1e-100 and overflow at 1e100
+    coeffs = np.array([1.0, 0.3, 0.0, 0.1, 0.0])
+    beta = biaxiality(QTensor(coeffs))
+    assert beta == pytest.approx(0.5742305404472205, rel=1e-15)
+    for scale in 10.0 ** np.arange(-150, 151, 10):
+        assert biaxiality(QTensor(scale * coeffs)) == pytest.approx(beta, rel=1e-12, abs=0.0)
+
+
 def test_biaxiality_closed_form_cross_check():
     # beta = (27/4) s^2 r^2 (s-r)^2 / (s^2 + r^2 - s r)^3
     rng = np.random.default_rng(17)

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import Z, mbba
+from conftest import X, Y, Z, mbba
 from ldgq import (
     DivergenceError,
     FieldFormatError,
+    FrameError,
     GLPenalized,
     Polynomial,
     Quartic,
     a_of_temperature,
+    make_biaxial,
     rotate_coeffs,
     stationary_scalars,
     uniaxial_coeffs,
@@ -457,6 +459,45 @@ def test_director_line_divergence_raises_without_a_numpy_warning():
     for s_boundary in (1e100, 1.7e308, -1.7e308, mixed):
         with pytest.raises(DivergenceError, match="initial field has non-finite energy"):
             minimize_uniaxial_fixed_director(grid, s_boundary, Z, cfg)
+
+
+_QUARTIC_44 = quartic_cfg(t=44.0, tol_residual=1e-7)[1]
+
+
+def _biaxial_xy_start():
+    """Biaxial data in the frame x, y on 9^3, with their harmonic interior."""
+    grid = Grid3(9, 9, 9, 1.0, 1.0, 1.0)
+    bvals = np.broadcast_to(make_biaxial(0.5, 0.2, X, Y).coeffs, grid.shape + (5,))
+    return harmonic_interior(QField.from_boundary(grid, bvals))
+
+
+@pytest.mark.parametrize("axes, error, message", [
+    ((X, Y, Z), FrameError, "a frame is one director or a pair e1, e2, not 3 vectors"),
+    ((), FrameError, "a frame is one director or a pair e1, e2, not 0 vectors"),
+    (((1, 0, 0), (0, 2, 0)), FrameError, "e1 and e2 must be unit vectors"),
+    ((X, X), FrameError, "e1 and e2 must be orthogonal"),
+    (((0, 0, 2),), FrameError, "director must be a unit vector"),
+    (((0, 1),), FrameError, "director must be a unit vector"),
+    # an orthonormal frame, or one director, whose subspace does not hold the data
+    (((1, 0, 0), (0, 0.6, 0.8)), ValueError, "the start's face values leave the subspace"),
+    ((X,), ValueError, "the start's face values leave the subspace"),
+], ids=["three", "none", "long-e2", "parallel", "long-director", "2-vector", "foreign-frame",
+        "x-line"])
+def test_the_subspace_flow_checks_its_axes_and_start_before_any_flow(monkeypatch, axes, error,
+                                                                    message):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the flow ran")
+
+    monkeypatch.setattr(solver, "_flow", no_flow)
+    with pytest.raises(error, match=message):
+        solver.minimize_on_subspace(_biaxial_xy_start(), axes, _QUARTIC_44)
+
+
+def test_the_subspace_flow_takes_every_frame_of_the_datas_plane():
+    start = _biaxial_xy_start()
+    for frame in ((X, Y), (Y, X), ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0))):
+        _, report = solver.minimize_on_subspace(start, frame, _QUARTIC_44)
+        assert report.converged
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
