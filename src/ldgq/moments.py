@@ -171,13 +171,13 @@ def load_density_csv(path, quad: SphericalQuadrature) -> Distribution:
 
     Multiple samples landing on one node are averaged; nodes without samples
     get zero. A leading byte-order mark, blank lines, comment lines starting
-    with '#', and a header line of column names are skipped. Negative values
-    and angles that are not finite are rejected.
+    with '#', and a header line of column names are skipped. Negative values,
+    and angles and values that are not finite, are rejected.
 
     Line 1 is skipped when ``_is_header`` says it is a header; the other
     lines, stripped and without the blank and '#' ones, are parsed in one
     ``np.loadtxt`` call. Only a file that parse rejects, or that holds a
-    negative value or a non-finite angle, goes through the per-line reader,
+    negative value or a non-finite number, goes through the per-line reader,
     which accepts or rejects it and names the offending line.
     """
     with open(path, encoding="utf-8-sig") as fh:
@@ -192,7 +192,7 @@ def load_density_csv(path, quad: SphericalQuadrature) -> Distribution:
         except (ValueError, Warning):
             rows = None
         if (rows is None or rows.shape[1] != 3 or (rows[:, 2] < 0.0).any()
-                or not np.isfinite(rows[:, :2]).all()):
+                or not np.isfinite(rows).all()):
             fh.seek(0)
             rows = _read_sample_lines(path, fh)
     if not len(rows):
@@ -243,6 +243,8 @@ def _read_sample_lines(path, fh) -> np.ndarray:
             raise NormalizationError(f"{path}: line {lineno}: negative density")
         if not (math.isfinite(theta) and math.isfinite(phi)):
             raise NormalizationError(f"{path}: line {lineno}: non-finite angle")
+        if not math.isfinite(value):
+            raise NormalizationError(f"{path}: line {lineno}: non-finite value")
         rows.append((theta, phi, value))
     return np.array(rows, dtype=float).reshape(-1, 3)
 

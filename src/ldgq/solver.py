@@ -10,11 +10,11 @@ the two flows: ``minimize`` relaxes the five coefficients, and ``minimize_on_sub
 relaxes the k coordinates x of Q = x . basis in the subspace of a boundary frame, on the
 full energy restricted to it: the line of one director n (k = 1), or the plane of a biaxial
 frame e1, e2 (k = 2). It certifies its end with ``minimize`` (the paper's bounds hold at
-critical points of the five-component energy). ``minimize_uniaxial_fixed_director`` is the
-line run in the units of the scalar s of Q = s (n x n - I/3) = s sqrt(2/3) b0, b0 the unit
-uniaxial tensor along n. Each subspace is closed under the traceless square, so tr Q^2 = x.x,
-tr Q^3 = x . square(x), and the one bulk kernel with that square map is exact on x: no
-subspace pass forms a five-component array.
+critical points of the five-component energy). On the line, Q = t b0 = s (n x n - I/3) with
+b0 the unit uniaxial tensor along n, so the scalar order parameter is s = t/sqrt(2/3) = Q.B/|B|^2
+for B = ``uniaxial_coeffs(1, n)``, |B|^2 = 2/3. Each subspace is closed under the traceless
+square, so tr Q^2 = x.x, tr Q^3 = x . square(x), and the one bulk kernel with that square map
+is exact on x: no subspace pass forms a five-component array.
 
 Each step is preconditioned L-BFGS (Nocedal, Math. Comp. 35, 1980; Liu &
 Nocedal, Math. Prog. 45, 1989) with the last m = 2 pairs s (the accepted step)
@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bulk import SQRT6, BulkFunctional, Quartic, stationary_scalars
+from .bulk import SQRT6, BulkFunctional
 from .errors import DivergenceError, FieldFormatError
 from .qtensor import matrices_to_coeffs, uniaxial_coeffs, unit_frame
 
@@ -61,7 +61,6 @@ __all__ = [
     "discrete_energy",
     "el_residual",
     "minimize",
-    "minimize_uniaxial_fixed_director",
     "minimize_on_subspace",
     "harmonic_interior",
     "write_field",
@@ -195,7 +194,6 @@ class SolveReport:
     rejected_steps: int  # dt halvings
     trace: tuple = ()  # (iteration, energy, residual_maxnorm, H0 shift) rows, thinned
     seed: Optional[int] = None
-    hypothesis_met: Optional[bool] = None
 
 
 _INTERIOR = (slice(None), slice(1, -1), slice(1, -1), slice(1, -1))  # of (ncomp, nx, ny, nz)
@@ -463,48 +461,6 @@ def minimize_on_subspace(start: QField, axes, cfg: SolverConfig) -> tuple[QField
     field, check = minimize(start.with_values(values),
                             replace(cfg, max_iters=cfg.max_iters - sub.iterations))
     return field, _merge_reports(sub, check)
-
-
-def minimize_uniaxial_fixed_director(grid: Grid3, s_boundary, director,
-                                     cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
-    """Minimize over uniaxial fields s(x) (n x n - I/3) with a fixed director n.
-
-    ``s_boundary`` is a constant or an (nx, ny, nz) array whose face entries
-    supply the Dirichlet datum; the interior starts at their mean. This is
-    ``minimize_on_subspace`` on n's line in s units, its check included: n x n - I/3 = |B| b
-    with |B| = sqrt(2/3) and b the unit uniaxial tensor, so s = t/|B|, the s-residual is
-    |B| times the t-residual, and the run's tolerance is ``cfg.tol_residual``/|B|. The
-    report's residuals are in s units; its dt and shifts are the flows'. Its
-    ``hypothesis_met`` records whether 0 < s_boundary < min(s_plus, 1) held pointwise
-    (only checkable for the quartic functional); the run proceeds either way.
-    """
-    s_boundary = np.broadcast_to(np.asarray(s_boundary, dtype=float), grid.shape)
-    mask = _face_mask(grid.shape)
-    bvals = s_boundary[mask]
-    if not np.isfinite(bvals).all():
-        raise ValueError("s_boundary face values must be finite")
-    with np.errstate(over="ignore"):  # a sum past the float range: average scaled values
-        mean = float(bvals.mean())
-    s = s_boundary.copy()
-    s[1:-1, 1:-1, 1:-1] = mean if math.isfinite(mean) else float(np.sum(bvals / bvals.size))
-
-    fun = cfg.functional
-    hypothesis: Optional[bool] = None
-    if isinstance(fun, Quartic):
-        s_plus = stationary_scalars(fun.material, fun.temperature).s_plus
-        hypothesis = s_plus is not None and bool(
-            (bvals > 0.0).all() and (bvals < min(s_plus, 1.0)).all())
-
-    base = uniaxial_coeffs(1.0, director)
-    norm = float(np.linalg.norm(base))
-    final, report = minimize_on_subspace(
-        QField(grid, uniaxial_coeffs(s, director)), (director,),
-        replace(cfg, tol_residual=cfg.tol_residual / norm))
-    s = final.values @ base / norm**2
-    s[mask] = bvals
-    trace = tuple((k, energy, norm * rmax, shift) for k, energy, rmax, shift in report.trace)
-    return s, replace(report, final_residual_maxnorm=norm * report.final_residual_maxnorm,
-                      trace=trace, hypothesis_met=hypothesis)
 
 
 def _merge_reports(line: SolveReport, check: SolveReport) -> SolveReport:

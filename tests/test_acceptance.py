@@ -44,7 +44,7 @@ from ldgq.solver import (
     el_residual,
     harmonic_interior,
     minimize,
-    minimize_uniaxial_fixed_director,
+    minimize_on_subspace,
 )
 
 
@@ -279,18 +279,23 @@ def test_criterion_08_penalized_bound_and_eps_scaling():
 
 
 def test_criterion_09_fixed_director_scalar_bounds():
+    # the line of the director, Q = s (n x n - I/3), from the harmonic start as
+    # `ldgq minimize` relaxes it; s = Q.B/|B|^2 with B = uniaxial_coeffs(1, n)
     t0 = time.time()
     m = mbba(scale=1e-3)
     t = 45.0
     sp = stationary_scalars(m, t).s_plus
+    s0 = 0.5 * min(sp, 1.0)
+    assert 0.0 < s0 < min(sp, 1.0)  # the paper's hypothesis on the data
     grid = Grid3(17, 17, 17, 1.0, 1.0, 1.0)
     cfg = SolverConfig(functional=Quartic(m, t), elastic_l=m.elastic_l, tol_residual=1e-8)
-    s_field, report = minimize_uniaxial_fixed_director(grid, 0.5 * min(sp, 1.0), Z, cfg)
+    final, report = minimize_on_subspace(_boundary_field(grid, s0), (Z,), cfg)
     assert report.converged
-    assert report.hypothesis_met
+    base = uniaxial_coeffs(1.0, Z)
+    s_field = final.values @ base / (base @ base)
     assert s_field.min() >= -1e-6
     assert s_field.max() <= sp * (1.0 + 1e-3)
-    _passline(9, 30.0, t0, f"s in [{s_field.min():.2e}, {s_field.max():.6f}], s_plus = {sp:.6f}")
+    _passline(9, 30.0, t0, f"s in [{s_field.min():.4f}, {s_field.max():.6f}], s_plus = {sp:.6f}")
 
 
 def test_criterion_10_moment_oracle():
@@ -334,3 +339,29 @@ def test_criterion_11_bound_formula_cross_check():
         worst = max(worst, abs(c_val - gamma) / gamma)
     assert worst <= 1e-10
     _passline(11, 1.0, t0, f"gamma vs polynomial bound: worst rel diff {worst:.2e} <= 1e-10")
+
+
+def test_criterion_13_grid_refinement_on_the_line():
+    # A box of side 32 at h = 4, 2, 1, 0.5 (9^3 to 65^3): the line minimizers' max|Q|
+    # rises toward Gamma from below, and the energy converges at first order in h,
+    # since the rectangle rule gives the six face layers full cell weight.
+    t0 = time.time()
+    m = mbba(scale=1e-3)
+    t = 44.0
+    gamma = elastic_bound_gamma(m, t)
+    s0 = 0.9 * min(stationary_scalars(m, t).s_plus, 1.0)
+    cfg = SolverConfig(functional=Quartic(m, t), elastic_l=m.elastic_l, tol_residual=1e-9)
+    norms, energies = [], []
+    for h in (4.0, 2.0, 1.0, 0.5):
+        n = round(32.0 / h) + 1
+        final, report = minimize_on_subspace(
+            _boundary_field(Grid3(n, n, n, h, h, h), s0), (Z,), cfg)
+        assert report.converged
+        norms.append(float(final.norms()[~final.boundary_mask].max()))
+        energies.append(report.final_energy)
+    assert all(a < b for a, b in zip(norms, norms[1:])) and norms[-1] < gamma
+    diffs = np.diff(energies)
+    orders = np.log2(diffs[:-1] / diffs[1:])
+    assert np.all((0.9 <= orders) & (orders <= 1.3))
+    _passline(13, 5.0, t0, f"max|Q| {norms[0]:.10f} -> {norms[-1]:.10f} < Gamma = {gamma:.10f}; "
+              f"energy orders {orders[0]:.3f}, {orders[1]:.3f}")

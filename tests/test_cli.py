@@ -286,6 +286,18 @@ def test_minimize_constant_boundary_converges(tmp_path):
     assert np.abs(field.values - uniaxial_coeffs(m_sp, [0, 0, 1])).max() < 1e-9
 
 
+def test_solve_report_holds_exactly_the_keys_the_readme_lists(tmp_path):
+    # a report field that no command sets would show up here before it reached README
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(minimize_config(t=44.0, s0=0.7, nx=7))
+    assert cli.main(["--out", str(tmp_path), "minimize", "--config", str(cfg)]) == EXIT_OK
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert sorted(report) == sorted([
+        "iterations", "final_energy", "final_residual_maxnorm", "converged",
+        "energy_history_monotone", "dt_initial", "dt_final", "seed", "stop_reason",
+        "fallbacks", "rejected_steps", "trace"])
+
+
 def test_minimize_with_restarts_records_seed(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(minimize_config(t=44.5, s0=0.7, nx=7, extra="restarts = 2\nseed = 11\n"))

@@ -208,6 +208,8 @@ def _per_sample_loop(path, quad):
                 return f"{path}: line {lineno}: negative density"
             if not (np.isfinite(theta) and np.isfinite(phi)):
                 return f"{path}: line {lineno}: non-finite angle"
+            if not np.isfinite(value):
+                return f"{path}: line {lineno}: non-finite value"
             nearest = _loop_nearest(quad, theta, phi)
             sums[nearest] += value
             counts[nearest] += 1.0
@@ -361,6 +363,19 @@ def test_load_density_csv_error_lines(tmp_path):
     path.write_text("theta,phi,value\n0.5,0.1,2.0\n\nnan,0.1,1.0\n")
     with pytest.raises(NormalizationError, match=r": line 4: non-finite angle$"):
         load_density_csv(path, quad)
+
+
+@pytest.mark.parametrize("header", ["theta,phi,value\n", ""], ids=["header", "no-header"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_density_value_names_its_line(tmp_path, header, value):
+    # -inf is negative first; nan and inf would otherwise only fail the whole
+    # distribution, with no line named
+    path = tmp_path / "density.csv"
+    path.write_text(f"{header}0.5,0.1,2.0\n\n1.2,2.0,{value}\n0.3,0.4,1.0\n")
+    lineno = 3 + bool(header)
+    message = "negative density" if value == "-inf" else "non-finite value"
+    with pytest.raises(NormalizationError, match=rf": line {lineno}: {message}$"):
+        load_density_csv(path, build_quadrature(4))
 
 
 @pytest.mark.parametrize("body", ["theta,phi,value\n0.5,0.1,2.0\n1.2,2.0,0.5\n",
