@@ -197,7 +197,7 @@ def norm_bound(fun, max_boundary: float) -> tuple[str, float, bool]:
     and temperature are the functional's own.
     """
     inv_sqrt6 = 1.0 / SQRT6
-    if isinstance(fun, GLPenalized):
+    if isinstance(fun, GLPenalized):  # ahead of Quartic: a GL functional is a Quartic
         bound = gl_bound(fun.material, fun.temperature, fun.eps)
         return "GL", max(bound, max_boundary), max_boundary < inv_sqrt6
     if isinstance(fun, Polynomial):

@@ -98,7 +98,7 @@ def _power(x, k: int):  # x**k, without an array operation for k = 0 and 1
 class BulkFunctional:
     """Density a2 tr Q^2 + sum of co (tr Q^2)^m (tr Q^3)^p over the ``terms`` (m, p, co).
 
-    Subclasses supply ``a2`` and ``terms``; ``GLPenalized`` wraps its quartic instead.
+    Subclasses supply ``a2`` and ``terms``; ``GLPenalized`` adds its penalty to the quartic's.
     ``density`` and ``gradient`` take (..., 5) views of the one kernel on arrays (5, ...).
     """
 
@@ -201,27 +201,21 @@ class Polynomial(BulkFunctional):
 
 
 @dataclass(frozen=True)
-class GLPenalized(BulkFunctional):
-    """Quartic density plus a penalty that activates for |Q| > 1/sqrt(6).
+class GLPenalized(Quartic):
+    """The quartic density of ``material`` at ``temperature`` plus a penalty for |Q| > 1/sqrt(6).
 
     The penalty (|Q|^2 - 1/6)^2 / eps^2 is C1 but not C2 at the threshold;
     gradient flow only needs C1, so no smoothing is applied.
     """
 
-    material: Material
-    temperature: float
     eps: float
 
     def __post_init__(self):
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
 
-    @property
-    def quartic(self) -> Quartic:
-        return Quartic(self.material, self.temperature)
-
     def density_and_gradient(self, q, square=None):
-        dens, grad = self.quartic.density_and_gradient(q, square)
+        dens, grad = super().density_and_gradient(q, square)
         excess = np.maximum(np.einsum("c...,c...->...", q, q) - 1.0 / 6.0, 0.0)
         return dens + excess * excess / self.eps**2, grad + ((4.0 / self.eps**2) * excess) * q
 

@@ -484,6 +484,10 @@ def cmd_minimize(cfg: RunConfig, out_dir: Path) -> int:
     print(f"wrote {field_path}")
     print(f"wrote {out_dir / 'solve_report.json'}")
     print(f"wrote {out_dir / 'audit.json'}")
+    if not report.converged:
+        print(f"error: not converged: {report.stop_reason} after {report.iterations} iterations, "
+              f"residual {report.final_residual_maxnorm} > tol {scfg.tol_residual}",
+              file=sys.stderr)
     return _audit_exit(audit, report.converged)
 
 

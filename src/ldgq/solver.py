@@ -31,12 +31,12 @@ and with no pairs the step is this flow step. A quasi-Newton trial instead takes
 the secant-matched shift sigma_k = (s.y - c edge(s)) / |s|^2 of the newest kept
 pair (edge(s) is the edge Dirichlet sum of s), the Rayleigh quotient of the bulk
 Hessian along s (the Barzilai-Borwein idea, IMA J. Numer. Anal. 8, 1988, applied to
-the bulk part only), floored at 0.1/dt. If that trial would raise the energy beyond
-roundoff, the pairs are dropped and the flow step at 1/dt is taken instead, with dt
-halved until it lowers the energy. Only the bulk term limits dt, so dt does not shrink
-with the grid spacing. The descent keeps one contiguous component-major
-(ncomp, nx, ny, nz) array, and each trial makes one pass that gives both its energy
-and its residual (``_energy_and_residual``).
+the bulk part only), floored at f/dt; f is 0.1 at the start of each flow. If that trial
+would raise the energy beyond roundoff, the pairs are dropped, f doubles up to 1, and the
+flow step at 1/dt is taken instead, with dt halved until it lowers the energy. Only the
+bulk term limits dt, so dt does not shrink with the grid spacing. The descent keeps one
+contiguous component-major (ncomp, nx, ny, nz) array, and each trial makes one pass that
+gives both its energy and its residual (``_energy_and_residual``).
 """
 
 from __future__ import annotations
@@ -305,13 +305,13 @@ def _flow(values: np.ndarray, grid: Grid3, bulk, cfg: SolverConfig,
     the elastic constant of an orthonormal basis (five coefficients, or the k of a
     subspace). Every trial is one ``_lbfgs_step`` (the last ``_MEMORY`` pairs
     (s, y) applied to the residual with H0 = (sigma I - c lap_h)^-1,
-    sigma = max(``_bulk_shift`` of the newest pair, 0.1/dt)) and one
+    sigma = max(``_bulk_shift`` of the newest pair, f/dt)) and one
     ``_energy_and_residual`` pass with ``bulk``. If a quasi-Newton trial would
-    raise the energy beyond roundoff, the memory is dropped (a fallback) and the plain
-    step x solving (I/dt - c lap_h) x = residual is tried, halving dt (a rejected step)
-    until it does not. dt starts at 0.9 over ``hessian_bound`` of the component-major
-    initial field, by default the sampled Hessian bound of ``bulk`` on it
-    (``_sampled_hessian_bound``).
+    raise the energy beyond roundoff, the memory is dropped (a fallback), f goes from
+    its start of 0.1 to min(1, 2 f), and the plain step x solving (I/dt - c lap_h) x =
+    residual is tried, halving dt (a rejected step) until it does not. dt starts at 0.9
+    over ``hessian_bound`` of the component-major initial field, by default the sampled
+    Hessian bound of ``bulk`` on it (``_sampled_hessian_bound``).
     ``energy_history_monotone`` is False if an accepted energy ever rose above the
     lowest one before it by more than that allowance. The report's ``trace`` holds
     (iteration, energy, residual max norm, shift of the accepted trial) for the
@@ -330,6 +330,7 @@ def _flow(values: np.ndarray, grid: Grid3, bulk, cfg: SolverConfig,
     lowest, monotone = energy, True
     pairs: list = []  # (s, y, 1/(s.y)), oldest first
     bulk_shift = 0.0  # the newest pair's bulk Rayleigh quotient
+    floor = 0.1  # of the quasi-Newton shift, in units of 1/dt; doubled at each fallback
     shift = None  # of the accepted trial; the initial field has none
     history = []
     while True:
@@ -345,7 +346,7 @@ def _flow(values: np.ndarray, grid: Grid3, bulk, cfg: SolverConfig,
         limit = energy + allowance
         # a quasi-Newton trial if there are pairs, then the plain step and up to 60 halvings
         for _ in range(61 + bool(pairs)):
-            shift = max(bulk_shift, 0.1 / dt) if pairs else 1.0 / dt
+            shift = max(bulk_shift, floor / dt) if pairs else 1.0 / dt
             step = _lbfgs_step(res, pairs, solve, shift)
             trial = q + step
             trial_energy, trial_res = _energy_and_residual(trial, grid, c, bulk)
@@ -353,6 +354,7 @@ def _flow(values: np.ndarray, grid: Grid3, bulk, cfg: SolverConfig,
                 break
             if pairs:
                 fallbacks += 1
+                floor = min(1.0, 2.0 * floor)
                 pairs.clear()
             else:
                 dt *= 0.5

@@ -243,7 +243,7 @@ def test_criterion_08_penalized_bound_and_eps_scaling():
     s0 = 0.35 / np.sqrt(2.0 / 3.0)  # boundary norm 0.35 < 1/sqrt(6)
     # iterations, fallbacks, rejected steps, dt_final and final energy of the flow
     recorded = {0.1: (13, 2, 4, 0.026451249476623855, -469.13469878490775),
-                0.05: (26, 14, 7, 0.003306406184577982, -466.7895386938621)}
+                0.05: (26, 10, 7, 0.003306406184577982, -466.7895386938621)}
     for eps, (iterations, fallbacks, rejected, dt_final, energy) in recorded.items():
         fun = GLPenalized(m, t, eps)
         cfg = SolverConfig(functional=fun, elastic_l=m.elastic_l, tol_residual=1e-7)

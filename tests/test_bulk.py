@@ -14,6 +14,7 @@ from ldgq import (
     characteristic_temperatures,
     gl_bound,
     make_biaxial,
+    norm_bound,
     poly_bound_C,
     stationary_scalars,
     triangle_report,
@@ -229,7 +230,7 @@ def test_kernels_match_matrix_formulation(shape, radius, t, eps, seed):
 
 def gl_matrix_kernels(gl, coeffs):
     """``matrix_kernels`` of ``gl`` and their ``kernel_scales``, the penalty included."""
-    quartic = gl.quartic
+    quartic = Quartic(gl.material, gl.temperature)
     dens, grad = matrix_kernels(quartic.a2, quartic.terms, coeffs)
     dscale, gscale = kernel_scales(quartic.a2, quartic.terms, coeffs)
     # the penalty adds (|Q|^2 - 1/6)^2 / eps^2 above |Q| = 1/sqrt(6) only
@@ -352,6 +353,38 @@ def test_quartic_is_the_degree4_polynomial(shape, radius, t, seed):
     quartic, poly = Quartic(m, t), mbba_quartic_as_polynomial(m, t)
     assert np.array_equal(quartic.density(c), poly.density(c))
     assert np.array_equal(quartic.gradient(c), poly.gradient(c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from([5, 1, 2]),
+    n=st.integers(1, 40),
+    radius=st.floats(0.01, 3.0),
+    t=st.floats(40.0, 50.0),
+    eps=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gl_is_the_quartic_plus_its_penalty(k, n, radius, t, eps, seed):
+    # GLPenalized is a Quartic: its kernel is the quartic kernel of its own material and
+    # temperature plus (|Q|^2 - 1/6)^2 / eps^2, bit for bit, on all five coefficients and on
+    # the k = 1, 2 subspace coordinates with ``square = _frame_square``
+    assert issubclass(GLPenalized, Quartic)
+    m = mbba(scale=1e-3)
+    rng = np.random.default_rng(seed)
+    side = rng.standard_normal(k)
+    # both sides of the penalty's threshold |Q| = 1/sqrt(6)
+    near = np.multiply.outer(side / np.linalg.norm(side), [0.999, 1.001]) / np.sqrt(6.0)
+    x = np.concatenate([radius * rng.uniform(-1.0, 1.0, (k, n)), near], axis=1)
+    square = None if k == 5 else _frame_square
+    gl = GLPenalized(m, t, eps)
+    dens, grad = Quartic(m, t).density_and_gradient(x, square)
+    excess = np.maximum(np.einsum("c...,c...->...", x, x) - 1.0 / 6.0, 0.0)
+    got_dens, got_grad = gl.density_and_gradient(x, square)
+    assert np.array_equal(got_dens, dens + excess * excess / eps**2)
+    assert np.array_equal(got_grad, grad + ((4.0 / eps**2) * excess) * x)
+    assert np.any(excess == 0.0) and np.any(excess > 0.0)
+    # the audit still reads it as the penalized functional, not the quartic it extends
+    assert norm_bound(gl, 0.3)[0] == "GL"
 
 
 def test_gradient_vanishes_only_on_uniaxial_set():

@@ -352,6 +352,27 @@ def test_restarts_perturb_by_a_tenth_of_the_norm_bound(tmp_path, monkeypatch, t,
         assert np.array_equal(start, expected)
 
 
+@pytest.mark.parametrize("eps, trials, energy", [
+    (0.3, 31, -66.16653822114701),
+    (0.1, 76, -65.53462218515772),
+    (0.05, 144, -65.47372703798005),
+    (0.02, 500, -65.45662202001114),
+], ids=["eps-0.3", "eps-0.1", "eps-0.05", "eps-0.02"])
+def test_stiff_gl_runs_double_the_shift_floor_at_each_fallback(tmp_path, eps, trials, energy):
+    # GL at T = 45.5 on 17^3 from s0 = 0.5 min(s_plus, 1): the penalty is the stiffest
+    # term here, and trials (iterations, fallbacks and halvings) grow as eps shrinks.
+    # With a fixed floor of 0.1/dt on the quasi-Newton shift these runs take
+    # 33, 99, 189 and 1875 trials to the same minimizer.
+    s0 = 0.5 * min(stationary_scalars(Material(0.42, 6.4, 3.5, 45.0, 1.0), 45.5).s_plus, 1.0)
+    path = tmp_path / "gl.cfg"
+    path.write_text(minimize_config(t=45.5, s0=s0, nx=17).replace(
+        "variant = quartic", f"variant = gl\neps = {eps}"))
+    assert cli.main(["--out", str(tmp_path), "minimize", "--config", str(path)]) == EXIT_OK
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert report["iterations"] + report["fallbacks"] + report["rejected_steps"] == trials
+    assert report["final_energy"] == pytest.approx(energy, rel=1e-12, abs=0.0)
+
+
 def test_polynomial_minimize_and_verify_need_no_temperature(tmp_path):
     # the polynomial density reads no temperature, so the block changes nothing
     text = minimize_config(t=44.0, s0=0.45, nx=5).replace("variant = quartic",
@@ -422,19 +443,26 @@ def test_verify_detects_tampered_node(tmp_path):
     assert tuple(audit["worst_site"]) == (3, 2, 4)
 
 
-def test_exit_code_contract(tmp_path):
+def test_exit_code_contract(tmp_path, capsys):
     # parse error
     bad = tmp_path / "bad.cfg"
     bad.write_text("[material]\nnope = 1\n")
     assert cli.main(["--out", str(tmp_path), "phase", "--config", str(bad)]) == EXIT_PARSE
 
     # solver failure: an iteration budget too small to reach the tolerance,
-    # so the run ends unconverged
+    # so the run ends unconverged and says why, from the report it wrote
     cfg = tmp_path / "burn.cfg"
     cfg.write_text(minimize_config(t=44.5, s0=0.7, nx=5, extra="max_iters = 1\n"))
+    capsys.readouterr()
     rc = cli.main(["--out", str(tmp_path), "minimize", "--config", str(cfg)])
     assert rc == EXIT_DIVERGENCE
-    assert json.loads((tmp_path / "solve_report.json").read_text())["stop_reason"] == "max_iters"
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert report["stop_reason"] == "max_iters"
+    line = ("error: not converged: max_iters after 1 iterations, "
+            "residual 0.24514112815177314 > tol 1e-07\n")
+    assert capsys.readouterr().err == line
+    assert line == (f"error: not converged: {report['stop_reason']} after {report['iterations']} "
+                    f"iterations, residual {report['final_residual_maxnorm']} > tol 1e-07\n")
 
     # audit failure with the hypothesis met: tampered high-temperature field
     cfg_ht = tmp_path / "ht.cfg"
