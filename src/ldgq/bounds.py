@@ -9,7 +9,7 @@ physical triangle is the eta = 1 member of the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, TYPE_CHECKING
+from typing import NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -33,13 +33,11 @@ if TYPE_CHECKING:
     from .solver import QField
 
 __all__ = [
-    "TriangleReport",
     "TriangleColumns",
     "BoundAudit",
     "triangle_scale",
     "elastic_bound_gamma",
     "triangle_columns",
-    "triangle_report",
     "norm_bound",
     "audit_field",
 ]
@@ -71,33 +69,17 @@ def elastic_bound_gamma(m: Material, t: float) -> float:
     return float(gamma)
 
 
-@dataclass(frozen=True)
-class TriangleReport:
-    """Bulk and elastic triangles at one temperature with their containments.
-
-    ``gamma`` and ``elastic_vertices`` are None above the superheating
-    temperature, where the elastic triangle degenerates with the bulk one;
-    a degenerate elastic triangle counts as contained in the physical one.
-    ``crossing_temps`` holds (lower, upper): below the lower temperature the
-    elastic predictions cover points outside the physical triangle, at and
-    above the upper one the elastic triangle fits inside it.
-    """
-
-    temperature: float
-    bulk_vertices: tuple[tuple[float, float], ...]
-    elastic_vertices: Optional[tuple[tuple[float, float], ...]]
-    gamma: Optional[float]
-    t_psi_contains_elastic: bool
-    elastic_contains_t_psi: bool
-    crossing_temps: tuple[float, float]
-
-
 class TriangleColumns(NamedTuple):
-    """The triangle reports of a temperature sweep, one entry per temperature.
+    """Bulk and elastic triangles and their containments, one entry per temperature.
 
     ``bulk_scale``, ``gamma`` and ``elastic_scale`` (sqrt(6) gamma) are NaN
-    where ``nematic`` is False; there the bulk triangle is the origin alone.
-    ``crossing_temps`` is the same for every temperature.
+    where ``nematic`` is False, above the superheating temperature; there the
+    bulk triangle is the origin alone and the elastic triangle degenerates with
+    it, and a degenerate elastic triangle counts as contained in the physical
+    one. ``crossing_temps`` holds (lower, upper), the same for every temperature:
+    below the lower one the elastic predictions cover points outside the
+    physical triangle, at and above the upper one the elastic triangle fits
+    inside it.
     """
 
     t: np.ndarray
@@ -108,10 +90,6 @@ class TriangleColumns(NamedTuple):
     t_psi_contains_elastic: np.ndarray
     elastic_contains_t_psi: np.ndarray
     crossing_temps: tuple[float, float]
-
-
-def _triangle_vertices(eta: float) -> tuple[tuple[float, float], ...]:
-    return ((eta, 0.0), (0.0, eta), (-eta, -eta))
 
 
 def triangle_columns(m: Material, t) -> TriangleColumns:
@@ -140,26 +118,8 @@ def triangle_columns(m: Material, t) -> TriangleColumns:
     )
 
 
-def triangle_report(m: Material, t: float) -> TriangleReport:
-    """Compare the elastic triangle against the physical one at temperature t."""
-    col = triangle_columns(m, t)
-    if col.nematic:
-        bulk_vertices = _triangle_vertices(float(col.bulk_scale))
-        gamma = float(col.gamma)
-        elastic_vertices = _triangle_vertices(float(col.elastic_scale))
-    else:
-        bulk_vertices = ((0.0, 0.0),)
-        gamma = None
-        elastic_vertices = None
-    return TriangleReport(
-        temperature=t,
-        bulk_vertices=bulk_vertices,
-        elastic_vertices=elastic_vertices,
-        gamma=gamma,
-        t_psi_contains_elastic=bool(col.t_psi_contains_elastic),
-        elastic_contains_t_psi=bool(col.elastic_contains_t_psi),
-        crossing_temps=col.crossing_temps,
-    )
+# alias that the frozen tracer in perfbench/tracing.py wraps, until ROADMAP item 1
+triangle_report = triangle_columns
 
 
 # Multiplicative slack of the audit's verdict, to absorb discretization error.

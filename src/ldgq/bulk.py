@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,14 +24,12 @@ __all__ = [
     "Quartic",
     "Polynomial",
     "GLPenalized",
-    "StationaryReport",
     "StationaryColumns",
     "CharacteristicTemperatures",
     "a_of_temperature",
     "linear_law_a",
     "nematic_root",
     "stationary_columns",
-    "stationary_scalars",
     "characteristic_temperatures",
     "bulk_triangle_scale",
     "poly_bound_C",
@@ -220,27 +218,13 @@ class GLPenalized(Quartic):
         return dens + excess * excess / self.eps**2, grad + ((4.0 / self.eps**2) * excess) * q
 
 
-@dataclass(frozen=True)
-class StationaryReport:
-    """Stationary points of the quartic density along uniaxial states.
-
-    Besides s = 0 there are s_plus and s_minus = (b +- sqrt(b^2 - 24 a c)) / 4c
-    whenever b^2 - 24 a c >= 0; their densities follow f(s) = s^2 (9a - b s) / 54.
-    The nematic branch is the global minimum exactly when f_at_plus < 0.
-    """
-
-    s_plus: Optional[float]
-    s_minus: Optional[float]
-    f_at_plus: Optional[float]
-    f_at_minus: Optional[float]
-    global_min_is_nematic: bool
-
-
 class StationaryColumns(NamedTuple):
     """Uniaxial stationary points of the quartic density, one entry per temperature.
 
-    ``nematic`` marks where s_plus and s_minus exist, b^2 - 24 a c >= 0; the
-    four nematic columns hold NaN elsewhere.
+    Besides s = 0 there are s_plus and s_minus = (b +- sqrt(b^2 - 24 a c)) / 4c
+    where ``nematic`` marks b^2 - 24 a c >= 0; their densities f_plus and f_minus
+    follow f(s) = s^2 (9a - b s) / 54. The four nematic columns hold NaN elsewhere.
+    The nematic branch is the global minimum exactly when f_plus < 0.
     """
 
     t: np.ndarray
@@ -285,18 +269,8 @@ def stationary_columns(m: Material, t) -> StationaryColumns:
     return StationaryColumns(t, a, nematic, s_plus, s_minus, f_plus, f_minus, f_plus < 0.0)
 
 
-def stationary_scalars(m: Material, t: float) -> StationaryReport:
-    """Uniaxial stationary points of the quartic bulk density at temperature t."""
-    col = stationary_columns(m, t)
-    if not col.nematic:
-        return StationaryReport(None, None, None, None, False)
-    return StationaryReport(
-        s_plus=float(col.s_plus),
-        s_minus=float(col.s_minus),
-        f_at_plus=float(col.f_plus),
-        f_at_minus=float(col.f_minus),
-        global_min_is_nematic=bool(col.global_min_is_nematic),
-    )
+# alias that the frozen tracer in perfbench/tracing.py wraps, until ROADMAP item 1
+stationary_scalars = stationary_columns
 
 
 @dataclass(frozen=True)

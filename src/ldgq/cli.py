@@ -345,8 +345,8 @@ def _negated_json(text: str) -> str:
     return text if text == "NaN" else "-" + text
 
 
-# The JSON of one TriangleReport as _dump_json lays it out inside the list of
-# reports (sort_keys, indent=2): its vertex lists, then the whole report.
+# One temperature's object of triangles.json as _dump_json lays it out inside the
+# list (sort_keys, indent=2): its vertex lists, then the whole object.
 def _vertices_json(eta: str) -> str:
     minus_eta = _negated_json(eta)
     return f"""[

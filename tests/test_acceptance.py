@@ -8,6 +8,7 @@ rescaling, and the explicit flow is well-conditioned at order-one magnitudes.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from conftest import Z, mbba, mbba_quartic_as_polynomial
 from ldgq import (
     GLPenalized,
+    Material,
     Quartic,
     audit_field,
     biaxiality,
@@ -23,9 +25,9 @@ from ldgq import (
     elastic_bound_gamma,
     gl_bound,
     poly_bound_C,
-    stationary_scalars,
+    stationary_columns,
     trace_invariants,
-    triangle_report,
+    triangle_columns,
     uniaxial_coeffs,
 )
 from ldgq.moments import (
@@ -63,12 +65,12 @@ def test_criterion_01_mbba_physicality_crossing():
     t0 = time.time()
     m = mbba()
     window_low = characteristic_temperatures(m).physical_window[0]
-    crossing_low = triangle_report(m, 45.0).crossing_temps[0]
+    crossing_low = triangle_columns(m, 45.0).crossing_temps[0]
     # independent location of s_plus(T) = 1 by bisection
     lo, hi = 40.0, 46.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if stationary_scalars(m, mid).s_plus > 1.0:
+        if stationary_columns(m, mid).s_plus > 1.0:
             lo = mid
         else:
             hi = mid
@@ -85,8 +87,8 @@ def test_criterion_02_mbba_transition_temperature():
     t_ni = characteristic_temperatures(m).t_ni
     assert abs(t_ni - 46.0) <= 0.1
     # the ordered branch energy crosses zero there
-    rep = stationary_scalars(m, t_ni)
-    assert abs(rep.f_at_plus) < 1e-6 * m.b
+    rep = stationary_columns(m, t_ni)
+    assert abs(rep.f_plus) < 1e-6 * m.b
     _passline(2, 1.0, t0, f"t_ni = {t_ni:.4f} C (target 46.0 +- 0.1)")
 
 
@@ -135,7 +137,7 @@ def test_criterion_04_stationary_points_are_uniaxial():
     smallest = norms[off_diagonal].min()
 
     # the gradient vanishes at the uniaxial stationary points themselves
-    sp = stationary_scalars(m, 45.0).s_plus
+    sp = stationary_columns(m, 45.0).s_plus
     at_sp = np.linalg.norm(fun.gradient(uniaxial_coeffs(sp, Z)))
     assert at_sp <= 1e-10 * m.b
 
@@ -199,7 +201,7 @@ def test_criterion_06_low_temperature_norm_bound():
     grid = Grid3(17, 17, 17, 1.0, 1.0, 1.0)
     details = []
     for t in (44.0, 45.0, 45.5):
-        sp = stationary_scalars(m, t).s_plus
+        sp = stationary_columns(m, t).s_plus
         s0 = 0.9 * min(sp, 1.0)
         init = _boundary_field(grid, s0)
         cfg = SolverConfig(functional=Quartic(m, t), elastic_l=m.elastic_l, tol_residual=1e-7)
@@ -284,7 +286,7 @@ def test_criterion_09_fixed_director_scalar_bounds():
     t0 = time.time()
     m = mbba(scale=1e-3)
     t = 45.0
-    sp = stationary_scalars(m, t).s_plus
+    sp = stationary_columns(m, t).s_plus
     s0 = 0.5 * min(sp, 1.0)
     assert 0.0 < s0 < min(sp, 1.0)  # the paper's hypothesis on the data
     grid = Grid3(17, 17, 17, 1.0, 1.0, 1.0)
@@ -349,7 +351,7 @@ def test_criterion_13_grid_refinement_on_the_line():
     m = mbba(scale=1e-3)
     t = 44.0
     gamma = elastic_bound_gamma(m, t)
-    s0 = 0.9 * min(stationary_scalars(m, t).s_plus, 1.0)
+    s0 = 0.9 * min(stationary_columns(m, t).s_plus, 1.0)
     cfg = SolverConfig(functional=Quartic(m, t), elastic_l=m.elastic_l, tol_residual=1e-9)
     norms, energies = [], []
     for h in (4.0, 2.0, 1.0, 0.5):
@@ -365,3 +367,48 @@ def test_criterion_13_grid_refinement_on_the_line():
     assert np.all((0.9 <= orders) & (orders <= 1.3))
     _passline(13, 5.0, t0, f"max|Q| {norms[0]:.10f} -> {norms[-1]:.10f} < Gamma = {gamma:.10f}; "
               f"energy orders {orders[0]:.3f}, {orders[1]:.3f}")
+
+
+def _counts(report):
+    return report.iterations, report.fallbacks, report.rejected_steps
+
+
+def test_criterion_15_exact_unit_scaling():
+    # Powers of two change units without roundoff. h -> 2h with L -> 4L multiplies every
+    # energy term by 8 and leaves the residual per node volume as it is; alpha, b, c, L and
+    # tol all x2 double the energy and the residual. Either way the solve must take the same
+    # steps to the same field bit for bit, on five components and on the director's line.
+    t0 = time.time()
+    shape, h = (13, 9, 7), (0.7, 1.1, 1.6)
+    rng = np.random.default_rng(0)
+    mask = QField.from_boundary(Grid3(*shape, *h), np.zeros(shape + (5,))).boundary_mask
+    five = np.zeros(shape + (5,))
+    five[mask] = 0.3 * rng.standard_normal((int(mask.sum()), 5))
+    s = np.zeros(shape)
+    s[:, :, 0], s[:, :, -1], s[:, 0, :], s[:, -1, :], s[0], s[-1] = 0.3 * rng.standard_normal(6)
+    data = ((five, None), (uniaxial_coeffs(s, Z), (Z,)))
+
+    def solve(bvals, axes, spacings, cfg):
+        start = harmonic_interior(QField.from_boundary(Grid3(*shape, *spacings), bvals))
+        return minimize(start, cfg) if axes is None else minimize_on_subspace(start, axes, cfg)
+
+    m = mbba(scale=1e-3)
+    doubled = Material(2 * m.alpha, 2 * m.b, 2 * m.c, m.t_star, 2 * m.elastic_l)
+    runs = 0
+    for fun in (Quartic(m, 44.0), GLPenalized(m, 45.5, 0.05)):
+        cfg = SolverConfig(functional=fun, elastic_l=m.elastic_l)
+        scaled = [(tuple(2 * x for x in h), replace(cfg, elastic_l=4 * m.elastic_l), 8)]
+        if not isinstance(fun, GLPenalized):
+            units = replace(cfg, functional=Quartic(doubled, 44.0), elastic_l=2 * m.elastic_l,
+                            tol_residual=2 * cfg.tol_residual)
+            scaled.append((h, units, 2))
+        for bvals, axes in data:
+            field, report = solve(bvals, axes, h, cfg)
+            assert report.converged
+            for spacings, scaled_cfg, factor in scaled:
+                other, other_report = solve(bvals, axes, spacings, scaled_cfg)
+                assert np.array_equal(other.values, field.values)
+                assert other_report.final_energy == factor * report.final_energy
+                assert _counts(other_report) == _counts(report)
+                runs += 1
+    _passline(15, 10.0, t0, f"{runs} scaled solves: the same field bit for bit, energy x8 or x2")

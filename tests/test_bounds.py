@@ -12,8 +12,8 @@ from ldgq import (
     elastic_bound_gamma,
     gl_bound,
     poly_bound_C,
-    stationary_scalars,
-    triangle_report,
+    stationary_columns,
+    triangle_columns,
     uniaxial_coeffs,
 )
 from ldgq.bounds import norm_bound, triangle_scale
@@ -27,7 +27,7 @@ def test_norm_bound_rejects_an_unsupported_functional():
 
 def test_gamma_examples_and_identity():
     m = mbba()
-    sp = stationary_scalars(m, 45.0).s_plus
+    sp = stationary_columns(m, 45.0).s_plus
     gamma = elastic_bound_gamma(m, 45.0)
     assert gamma == pytest.approx(np.sqrt(2 / 3) * sp, rel=1e-14)
     # at the regime edge the discriminant vanishes, so gamma approaches
@@ -40,7 +40,7 @@ def test_gamma_examples_and_identity():
         elastic_bound_gamma(m, 50.0)
     # identity holds across the regime
     for t in np.linspace(40.0, 46.1, 25):
-        sp = stationary_scalars(m, t).s_plus
+        sp = stationary_columns(m, t).s_plus
         assert elastic_bound_gamma(m, t) / sp == pytest.approx(np.sqrt(2 / 3), rel=1e-14)
 
 
@@ -59,26 +59,26 @@ def test_gamma_strictly_decreasing_in_temperature():
     assert all(g1 > g2 for g1, g2 in zip(gammas, gammas[1:]))
 
 
-def test_triangle_report_crossings_mbba():
+def test_triangle_columns_crossings_mbba():
     m = mbba()
-    rep = triangle_report(m, 45.0)
+    rep = triangle_columns(m, 45.0)
     assert rep.crossing_temps[0] == pytest.approx(44.5238095238, abs=1e-9)
     assert rep.crossing_temps[1] == pytest.approx(45.0 + 2900.0 / 2520.0, abs=1e-9)
 
     # below the lower crossing the elastic triangle family covers T_psi
-    low = triangle_report(m, 44.0)
+    low = triangle_columns(m, 44.0)
     assert low.elastic_contains_t_psi and not low.t_psi_contains_elastic
     # between the crossings neither containment holds
-    mid = triangle_report(m, 46.0)
+    mid = triangle_columns(m, 46.0)
     assert not mid.elastic_contains_t_psi and not mid.t_psi_contains_elastic
     # inside the narrow upper window the elastic triangle fits in T_psi
-    inside = triangle_report(m, 46.155)
+    inside = triangle_columns(m, 46.155)
     assert inside.t_psi_contains_elastic and not inside.elastic_contains_t_psi
-    # above the superheat temperature the triangle degenerates (gamma absent)
-    high = triangle_report(m, 48.0)
-    assert high.gamma is None and high.elastic_vertices is None
+    # above the superheat temperature the triangle degenerates (gamma NaN)
+    high = triangle_columns(m, 48.0)
+    assert np.isnan(high.gamma) and np.isnan(high.elastic_scale)
     assert high.t_psi_contains_elastic and not high.elastic_contains_t_psi
-    assert high.bulk_vertices == ((0.0, 0.0),)
+    assert not high.nematic
 
 
 def test_lower_crossing_equals_unit_s_plus_temperature():
@@ -88,19 +88,20 @@ def test_lower_crossing_equals_unit_s_plus_temperature():
     lo, hi = 40.0, 46.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if stationary_scalars(m, mid).s_plus > 1.0:
+        if stationary_columns(m, mid).s_plus > 1.0:
             lo = mid
         else:
             hi = mid
     t_unit = 0.5 * (lo + hi)
-    assert abs(t_unit - triangle_report(m, 45.0).crossing_temps[0]) < 1e-10
+    assert abs(t_unit - triangle_columns(m, 45.0).crossing_temps[0]) < 1e-10
 
 
-def test_triangle_report_contains_bulk_triangle():
+def test_triangle_columns_contain_bulk_triangle():
     m = mbba()
     for t in (35.0, 40.0, 44.0, 45.0, 46.0):
-        rep = triangle_report(m, t)
-        bulk_scale = max(triangle_scale(s, r) for s, r in rep.bulk_vertices)
+        rep = triangle_columns(m, t)
+        eta = float(rep.bulk_scale)
+        bulk_scale = max(triangle_scale(s, r) for s, r in ((eta, 0.0), (0.0, eta), (-eta, -eta)))
         elastic_scale = np.sqrt(6) * rep.gamma
         assert bulk_scale <= elastic_scale * (1 + 1e-12)
 
@@ -123,7 +124,7 @@ def _constant_field(grid, s, director=Z):
 def test_audit_constant_bulk_minimizer_low_temp():
     m = mbba(scale=1e-3)
     t = 44.0
-    sp = stationary_scalars(m, t).s_plus
+    sp = stationary_columns(m, t).s_plus
     grid = Grid3(5, 5, 5, 1.0, 1.0, 1.0)
     field = _constant_field(grid, sp)
     audit = audit_field(field, Quartic(m, t))
@@ -149,7 +150,7 @@ def test_audit_zero_field_high_temp():
 def test_audit_flags_scaled_interior_node():
     m = mbba(scale=1e-3)
     t = 44.0
-    sp = stationary_scalars(m, t).s_plus
+    sp = stationary_columns(m, t).s_plus
     grid = Grid3(5, 5, 5, 1.0, 1.0, 1.0)
     field = _constant_field(grid, 0.9 * sp)
     values = field.values.copy()
@@ -189,17 +190,17 @@ ULP_EDGE_CASES = [
 
 @pytest.mark.parametrize("m, t, nematic", ULP_EDGE_CASES)
 def test_one_superheating_test_everywhere(m, t, nematic):
-    rep = stationary_scalars(m, t)
-    tri = triangle_report(m, t)
+    rep = stationary_columns(m, t)
+    tri = triangle_columns(m, t)
     audit = audit_field(_constant_field(Grid3(3, 3, 3, 1.0, 1.0, 1.0), 0.0), Quartic(m, t))
-    assert (rep.s_plus is not None) is nematic
-    assert (tri.gamma is not None) is nematic
+    assert bool(np.isnan(rep.s_plus)) is not nematic
+    assert bool(np.isnan(tri.gamma)) is not nematic
     assert audit.regime == ("LowTemp" if nematic else "HighTemp")
     if nematic:
         sp = rep.s_plus
-        assert tri.bulk_vertices == ((sp, 0.0), (0.0, sp), (-sp, -sp))
+        assert tri.bulk_scale == sp
         assert elastic_bound_gamma(m, t) == tri.gamma == audit.bound_value
     else:
-        assert tri.bulk_vertices == ((0.0, 0.0),) and tri.elastic_vertices is None
+        assert not tri.nematic and np.isnan(tri.elastic_scale)
         with pytest.raises(RegimeError, match="norm bound undefined"):
             elastic_bound_gamma(m, t)

@@ -16,8 +16,8 @@ from ldgq import (
     make_biaxial,
     norm_bound,
     poly_bound_C,
-    stationary_scalars,
-    triangle_report,
+    stationary_columns,
+    triangle_columns,
     uniaxial_coeffs,
 )
 from ldgq.bulk import SQRT6
@@ -60,7 +60,7 @@ def test_f_bulk_vanishes_at_transition():
     m = mbba()
     t_ni = characteristic_temperatures(m).t_ni
     fun = Quartic(m, t_ni)
-    rep = stationary_scalars(m, t_ni)
+    rep = stationary_columns(m, t_ni)
     assert rep.s_plus == pytest.approx(m.b / (3 * m.c), rel=1e-9)
     q = QTensor(uniaxial_coeffs(rep.s_plus, Z))
     scale = abs(fun.density(make_biaxial(rep.s_plus, 0.0, Z, X).coeffs)) + m.b * rep.s_plus**3
@@ -110,7 +110,7 @@ def test_bulk_gradient_zero_states():
     m = mbba()
     fun = Quartic(m, 44.0)
     assert QTensor(fun.gradient(QTensor.zero().coeffs)).norm == 0.0
-    rep = stationary_scalars(m, 44.0)
+    rep = stationary_columns(m, 44.0)
     for s in (rep.s_plus, rep.s_minus):
         q = QTensor(uniaxial_coeffs(s, Z))
         assert QTensor(fun.gradient(q.coeffs)).norm <= 1e-10 * grad_scale(fun, q)
@@ -406,32 +406,32 @@ def test_gradient_vanishes_only_on_uniaxial_set():
     assert smallest > 0.1 * m.b * spacing**2
 
 
-def test_stationary_scalars_examples():
+def test_stationary_columns_examples():
     m = mbba()
-    rep = stationary_scalars(m, 45.0)
+    rep = stationary_columns(m, 45.0)
     assert rep.s_plus == pytest.approx(m.b / (2 * m.c), rel=1e-14)
     assert rep.s_plus == pytest.approx(0.9142857142857143, rel=1e-12)
     assert rep.s_minus == pytest.approx(0.0, abs=1e-12)
     assert rep.global_min_is_nematic
 
     t_sh = characteristic_temperatures(m).t_superheat
-    rep = stationary_scalars(m, t_sh)
+    rep = stationary_columns(m, t_sh)
     assert rep.s_plus == pytest.approx(m.b / (4 * m.c), rel=1e-6)
     assert rep.s_plus == pytest.approx(rep.s_minus, rel=1e-6)
 
-    assert stationary_scalars(m, 50.0).s_plus is None
-    assert not stationary_scalars(m, 50.0).global_min_is_nematic
+    assert np.isnan(stationary_columns(m, 50.0).s_plus)
+    assert not stationary_columns(m, 50.0).global_min_is_nematic
 
 
 def test_stationary_density_ordering_and_uniaxial_slice_derivative():
     m = mbba()
     for t in (40.0, 44.0, 45.0, 45.8, 46.05):
         a = a_of_temperature(m, t)
-        rep = stationary_scalars(m, t)
-        if rep.s_plus is None:
+        rep = stationary_columns(m, t)
+        if not rep.nematic:
             continue
         if rep.s_plus != rep.s_minus:
-            assert rep.f_at_minus > rep.f_at_plus
+            assert rep.f_minus > rep.f_plus
         fun = Quartic(m, t)
         for s in np.linspace(-1.2, 1.2, 13):
             h = 1e-6
@@ -444,9 +444,9 @@ def test_stationary_density_ordering_and_uniaxial_slice_derivative():
 def test_stationary_f_values_match_density():
     m = mbba()
     for t in (43.0, 45.0, 46.0):
-        rep = stationary_scalars(m, t)
+        rep = stationary_columns(m, t)
         fun = Quartic(m, t)
-        assert rep.f_at_plus == pytest.approx(
+        assert rep.f_plus == pytest.approx(
             fun.density(uniaxial_coeffs(rep.s_plus, Z)), rel=1e-10, abs=1e-8
         )
 
@@ -462,21 +462,52 @@ def test_characteristic_temperatures_mbba():
 
 def test_bulk_triangle_regimes():
     m = mbba()
-    assert triangle_report(m, 50.0).bulk_vertices == ((0.0, 0.0),)
+    assert not triangle_columns(m, 50.0).nematic
 
-    verts = triangle_report(m, 45.0).bulk_vertices
-    s_plus = stationary_scalars(m, 45.0).s_plus
-    assert verts == ((s_plus, 0.0), (0.0, s_plus), (-s_plus, -s_plus))
+    s_plus = stationary_columns(m, 45.0).s_plus
+    assert triangle_columns(m, 45.0).bulk_scale == s_plus
 
     # continuity where the vertex formula switches branch: a = -b^2/3c
     t_switch = 45.0 - m.b * m.b / (3 * m.c) / m.alpha
-    lo = triangle_report(m, t_switch - 1e-6).bulk_vertices
-    hi = triangle_report(m, t_switch + 1e-6).bulk_vertices
-    assert lo[0][0] == pytest.approx(hi[0][0], rel=1e-4)
-    assert hi[0][0] == pytest.approx(m.b / m.c, rel=1e-4)
+    lo = triangle_columns(m, t_switch - 1e-6).bulk_scale
+    hi = triangle_columns(m, t_switch + 1e-6).bulk_scale
+    assert lo == pytest.approx(hi, rel=1e-4)
+    assert hi == pytest.approx(m.b / m.c, rel=1e-4)
 
     with pytest.raises(RegimeError):
-        triangle_report(m, -1.0)
+        triangle_columns(m, -1.0)
+
+
+@st.composite
+def _material_and_temperatures(draw):
+    """MBBA or a random material, at random temperatures and a few ulps around superheating."""
+    m = draw(st.one_of(st.just(mbba()), st.builds(
+        Material, alpha=st.floats(1e-3, 10.0), b=st.floats(0.1, 20.0), c=st.floats(0.1, 20.0),
+        t_star=st.floats(0.0, 200.0), elastic_l=st.just(1.0))))
+    t_sh = characteristic_temperatures(m).t_superheat
+    near = t_sh + np.arange(-4, 5) * np.spacing(t_sh)
+    return m, np.concatenate([near, draw(st.lists(st.floats(0.0, t_sh + 10.0), max_size=8))])
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_material_and_temperatures())
+def test_column_functions_at_one_temperature_are_the_sweep_entry(material_and_temps):
+    # a scalar t gives entry i of the sweep bit for bit: NaN where it is NaN, the same flags
+    m, temps = material_and_temps
+    for columns in (stationary_columns, triangle_columns):
+        sweep = columns(m, temps)
+        for i, t in enumerate(temps):
+            one = columns(m, t)
+            for name, value, entries in zip(one._fields, one, sweep):
+                if name == "crossing_temps":
+                    assert value == entries
+                else:
+                    assert np.shape(value) == () and _same_bits(value, entries[i]), (name, t)
 
 
 def test_polynomial_validation():

@@ -20,7 +20,7 @@ from ldgq.cli import (
 from ldgq.bulk import Material, characteristic_temperatures
 from ldgq.errors import ConfigError, RegimeError
 from ldgq.solver import Grid3, QField, read_field, write_field
-from ldgq import stationary_scalars, uniaxial_coeffs
+from ldgq import stationary_columns, uniaxial_coeffs
 
 MATERIAL_KJ = """
 [material]
@@ -269,7 +269,7 @@ def test_triangles_containment_flags(tmp_path):
 
 
 def test_minimize_constant_boundary_converges(tmp_path):
-    m_sp = stationary_scalars(parse_config(MATERIAL_KJ).material, 44.5).s_plus
+    m_sp = float(stationary_columns(parse_config(MATERIAL_KJ).material, 44.5).s_plus)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(minimize_config(t=44.5, s0=m_sp, extra="max_iters = 200\n"))
     rc = cli.main(["--out", str(tmp_path), "minimize", "--config", str(cfg)])
@@ -363,7 +363,7 @@ def test_stiff_gl_runs_double_the_shift_floor_at_each_fallback(tmp_path, eps, tr
     # term here, and trials (iterations, fallbacks and halvings) grow as eps shrinks.
     # With a fixed floor of 0.1/dt on the quasi-Newton shift these runs take
     # 33, 99, 189 and 1875 trials to the same minimizer.
-    s0 = 0.5 * min(stationary_scalars(Material(0.42, 6.4, 3.5, 45.0, 1.0), 45.5).s_plus, 1.0)
+    s0 = 0.5 * min(float(stationary_columns(Material(0.42, 6.4, 3.5, 45.0, 1.0), 45.5).s_plus), 1.0)
     path = tmp_path / "gl.cfg"
     path.write_text(minimize_config(t=45.5, s0=s0, nx=17).replace(
         "variant = quartic", f"variant = gl\neps = {eps}"))

@@ -17,7 +17,7 @@ from ldgq import (
     a_of_temperature,
     make_biaxial,
     rotate_coeffs,
-    stationary_scalars,
+    stationary_columns,
     uniaxial_coeffs,
 )
 from ldgq import cli, elastic_bound_gamma, solver
@@ -90,7 +90,7 @@ def test_grid_validation():
 
 def test_energy_constant_field():
     m, cfg = quartic_cfg(t=44.5)
-    sp = stationary_scalars(m, 44.5).s_plus
+    sp = stationary_columns(m, 44.5).s_plus
     grid = Grid3(6, 5, 4, 1.0, 0.5, 2.0)
     field = QField.constant(grid, uniaxial_coeffs(sp, Z))
     fB = cfg.functional.density(uniaxial_coeffs(sp, Z))
@@ -117,7 +117,7 @@ def test_energy_linear_ramp_elastic_part():
 
 def test_residual_constant_fields():
     m, cfg = quartic_cfg(t=44.5)
-    sp = stationary_scalars(m, 44.5).s_plus
+    sp = stationary_columns(m, 44.5).s_plus
     grid = Grid3(5, 5, 5, 1.0, 1.0, 1.0)
 
     stationary = QField.constant(grid, uniaxial_coeffs(sp, Z))
@@ -336,7 +336,7 @@ def test_director_line_relaxation_takes_the_five_component_trials(variant, kind)
                        tol_residual=1e-7)
     grid = Grid3(9, 9, 9, 1.0, 1.0, 1.0)
     director = np.array([1.0, 2.0, 2.0]) / 3.0
-    bvals = _line_data(kind, grid, director, 0.5 * min(stationary_scalars(m, t).s_plus, 1.0))
+    bvals = _line_data(kind, grid, director, 0.5 * min(stationary_columns(m, t).s_plus, 1.0))
     start = harmonic_interior(QField(grid, bvals))
     _, five = minimize(start, cfg)
     lifted, line = solver.minimize_on_subspace(start, (director,), cfg)
@@ -361,7 +361,7 @@ def test_line_runs_end_in_one_five_component_minimize_on_the_iterations_left(mon
     m, cfg = quartic_cfg(t=44.0, tol_residual=1e-7, max_iters=max_iters)
     if entry == "line":
         director = np.array([1.0, 2.0, 2.0]) / 3.0
-        s0 = 0.5 * stationary_scalars(m, 44.0).s_plus
+        s0 = 0.5 * stationary_columns(m, 44.0).s_plus
         start = harmonic_interior(uniform_boundary_field(Grid3(7, 7, 7, 1.0, 1.0, 1.0), s0,
                                                          director))
         axes = (director,)
@@ -483,7 +483,7 @@ def test_line_flows_evaluate_the_five_component_kernel_only_in_the_dt_probe(monk
     monkeypatch.setattr("ldgq.bulk.square_coeffs", counted)
     m, cfg = quartic_cfg(t=44.0, tol_residual=1e-7)
     grid = Grid3(9, 9, 9, 1.0, 1.0, 1.0)
-    s0 = 0.5 * stationary_scalars(m, 44.0).s_plus
+    s0 = 0.5 * stationary_columns(m, 44.0).s_plus
     director = np.array([1.0, 2.0, 2.0]) / 3.0
     _, report = solver.minimize_on_subspace(
         harmonic_interior(uniform_boundary_field(grid, s0, director)), (director,), cfg)
@@ -509,7 +509,7 @@ def test_flow_raises_when_every_halved_trial_is_non_finite():
 
 def test_minimize_already_stationary_takes_zero_iterations():
     m, cfg = quartic_cfg(t=44.5)
-    sp = stationary_scalars(m, 44.5).s_plus
+    sp = stationary_columns(m, 44.5).s_plus
     grid = Grid3(7, 7, 7, 1.0, 1.0, 1.0)
     init = QField.constant(grid, uniaxial_coeffs(sp, Z))
     final, report = minimize(init, cfg)
@@ -520,7 +520,7 @@ def test_minimize_already_stationary_takes_zero_iterations():
 
 def test_minimize_reaches_constant_minimizer_from_zero_interior():
     m, cfg = quartic_cfg(t=44.5)
-    sp = stationary_scalars(m, 44.5).s_plus
+    sp = stationary_columns(m, 44.5).s_plus
     grid = Grid3(7, 7, 7, 1.0, 1.0, 1.0)
     init = uniform_boundary_field(grid, sp)
     final, report = minimize(init, cfg)
@@ -559,7 +559,7 @@ def test_minimize_preserves_boundary_bits():
 def test_minimize_deterministic_reports():
     m, cfg = quartic_cfg(t=44.5, tol_residual=1e-6)
     grid = Grid3(6, 6, 6, 1.0, 1.0, 1.0)
-    sp = stationary_scalars(m, 44.5).s_plus
+    sp = stationary_columns(m, 44.5).s_plus
     init = uniform_boundary_field(grid, 0.8 * sp)
     final1, rep1 = minimize(init, cfg)
     final2, rep2 = minimize(init, cfg)
@@ -573,7 +573,7 @@ def test_minimize_deterministic_reports():
 def test_minimize_frame_equivariance():
     m, cfg = quartic_cfg(t=44.5, tol_residual=1e-9)
     grid = Grid3(7, 7, 7, 1.0, 1.0, 1.0)
-    sp = stationary_scalars(m, 44.5).s_plus
+    sp = stationary_columns(m, 44.5).s_plus
     init = uniform_boundary_field(grid, 0.9 * sp, director=Z)
 
     axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
@@ -602,7 +602,7 @@ def test_minimize_raises_on_nonfinite_initial_energy():
 def test_minimize_nonconverged_reports_false():
     m, cfg = quartic_cfg(t=44.5, max_iters=3, tol_residual=1e-14)
     grid = Grid3(6, 6, 6, 1.0, 1.0, 1.0)
-    sp = stationary_scalars(m, 44.5).s_plus
+    sp = stationary_columns(m, 44.5).s_plus
     init = uniform_boundary_field(grid, sp)
     _, report = minimize(init, cfg)
     assert not report.converged
@@ -657,7 +657,7 @@ def test_lbfgs_steps_descend_to_the_memory_zero_minimizer(shape, spacings, varia
     cfg = SolverConfig(functional=_flow_functional(variant, m, t), elastic_l=m.elastic_l,
                        tol_residual=1e-8)
     grid = Grid3(*shape, *spacings)
-    s0 = s_frac * min(stationary_scalars(m, t).s_plus, 1.0)
+    s0 = s_frac * min(stationary_columns(m, t).s_plus, 1.0)
     init = harmonic_interior(
         uniform_boundary_field(grid, s0, np.array(director) / np.linalg.norm(director)))
     iterates, latest = [], []
@@ -727,7 +727,7 @@ def test_low_temperature_relaxation_iteration_counts():
     cfg = SolverConfig(functional=Quartic(m, 44.0), elastic_l=m.elastic_l, tol_residual=1e-7)
     director = np.random.default_rng([5, 33]).standard_normal(3)
     director /= np.linalg.norm(director)
-    s0 = 0.9 * min(stationary_scalars(m, 44.0).s_plus, 1.0)
+    s0 = 0.9 * min(stationary_columns(m, 44.0).s_plus, 1.0)
     grid = Grid3(17, 17, 17, 1.0, 1.0, 1.0)
     init = harmonic_interior(uniform_boundary_field(grid, s0, director))
     # cold start from the harmonic fill
@@ -780,7 +780,7 @@ def test_every_trial_is_an_lbfgs_step_in_fallback_order():
     m = mbba(scale=1e-3)
     cfg = SolverConfig(functional=GLPenalized(m, 44.0, 0.05), elastic_l=m.elastic_l,
                        tol_residual=1e-7)
-    s0 = 0.2 * min(stationary_scalars(m, 44.0).s_plus, 1.0)
+    s0 = 0.2 * min(stationary_columns(m, 44.0).s_plus, 1.0)
     grid = Grid3(7, 7, 7, 1.0, 1.0, 1.0)
     init = harmonic_interior(uniform_boundary_field(grid, s0))
     log = []
@@ -860,7 +860,7 @@ def _line_run(s_boundary, director, cfg, grid):
 
 def test_uniaxial_fixed_director_constant_boundary():
     m, cfg = quartic_cfg(t=45.0, tol_residual=1e-9)
-    sp = stationary_scalars(m, 45.0).s_plus
+    sp = stationary_columns(m, 45.0).s_plus
     grid = Grid3(9, 9, 9, 1.0, 1.0, 1.0)
 
     _, field, report = _line_run(sp, Z, cfg, grid)
@@ -878,7 +878,7 @@ def test_uniaxial_fixed_director_constant_boundary():
 
 def test_uniaxial_fixed_director_face_ramp():
     m, cfg = quartic_cfg(t=45.0, tol_residual=1e-8)
-    sp = stationary_scalars(m, 45.0).s_plus
+    sp = stationary_columns(m, 45.0).s_plus
     grid = Grid3(9, 9, 9, 1.0, 1.0, 1.0)
     cap = min(sp, 1.0)
     xs = np.linspace(0.2, 0.6 * cap, grid.nx)
